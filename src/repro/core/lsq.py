@@ -161,8 +161,10 @@ class LoadStoreQueue:
         self.lq_ports.begin_cycle(cycle)
         self.sq_ports.begin_cycle(cycle)
 
-    def sample(self) -> None:
-        """Accumulate per-cycle occupancy statistics (Tables 4 and 5)."""
+    def sample(self, cycles: int = 1) -> None:
+        """Accumulate occupancy statistics (Tables 4 and 5) for
+        ``cycles`` cycles of unchanged occupancy (a quiet window the
+        processor skips is charged in one call)."""
         if self.config.unified_queue:
             # live_loads is the host-side mirror of the modeled load
             # occupancy: it counts exactly the live LOAD slots of the
@@ -170,12 +172,12 @@ class LoadStoreQueue:
             # by the parity tests), so charging it here prices the
             # model, not the host shortcut.
             loads = self.lq.live_loads
-            self.stats.lq_occupancy_cycles += loads  # sim-lint: ignore[SIM-T001]
-            self.stats.sq_occupancy_cycles += len(self.lq) - loads  # sim-lint: ignore[SIM-T001]
+            self.stats.lq_occupancy_cycles += loads * cycles  # sim-lint: ignore[SIM-T001]
+            self.stats.sq_occupancy_cycles += (len(self.lq) - loads) * cycles  # sim-lint: ignore[SIM-T001]
         else:
-            self.stats.lq_occupancy_cycles += len(self.lq)
-            self.stats.sq_occupancy_cycles += len(self.sq)
-        self.stats.ooo_load_cycles += self.nilp.ooo_in_flight
+            self.stats.lq_occupancy_cycles += len(self.lq) * cycles
+            self.stats.sq_occupancy_cycles += len(self.sq) * cycles
+        self.stats.ooo_load_cycles += self.nilp.ooo_in_flight * cycles
 
     # ------------------------------------------------------------------
     # dispatch
@@ -371,39 +373,68 @@ class LoadStoreQueue:
         hazard (search port, data-cache port, or pipelined-search
         contention under the STALL policy / SQUASH replay).
         """
+        # First call: the skip-sq-search fault injector draws its random
+        # numbers here, once per attempt.
         need_sq = self._needs_sq_search(load)
         mode = self.config.lq_search
         need_lq = mode in (LoadQueueSearchMode.SEARCH_LQ,
                            LoadQueueSearchMode.IN_ORDER_ALWAYS_SEARCH)
 
-        # Searches against a region the occupancy bits show empty do not
-        # activate the CAM, hence need no port (the search *event* is
-        # still counted against bandwidth demand, as in the paper).
-        sq_path = self.sq.backward_path(load.seq) if need_sq else []
-        lq_path = self.lq.forward_path(load.seq) if need_lq else []
-
+        # Ports are checked before any search path is built (paths are
+        # pure): on a port-starved machine most attempts bounce.
         if not self.memory.d_ports.available(cycle):
             self.stats.dcache_port_stalls += 1
             if self.obs is not None:
                 self.obs.emit("port_retry", seq=load.seq, pc=load.pc,
                               note="dcache")
             return Retry(cycle + 1)
-        if self.sq_ports is self.lq_ports and sq_path and lq_path:
+
+        # Searches against a region the occupancy bits show empty do not
+        # activate the CAM, hence need no port (the search *event* is
+        # still counted against bandwidth demand, as in the paper).
+        sq_path: SearchPath = []
+        lq_path: SearchPath = []
+        if self.sq_ports is self.lq_ports:
+            if need_sq:
+                sq_path = self.sq.backward_path(load.seq)
+            if need_lq:
+                lq_path = self.lq.forward_path(load.seq)
             # Unified queue: both searches draw on one port pool, so
             # admission must consider their joint demand per slot.
-            outcome = self._admit_joint(self.sq_ports, sq_path, lq_path,
-                                        cycle)
+            if sq_path and lq_path:
+                outcome = self._admit_joint(self.sq_ports, sq_path,
+                                            lq_path, cycle)
+            elif sq_path:
+                outcome = self._admit_search(self.sq_ports, sq_path,
+                                             cycle, self.stats, "sq")
+            else:
+                outcome = self._admit_search(self.lq_ports, lq_path,
+                                             cycle, self.stats, "lq")
             if outcome is not None:
                 return outcome
         else:
-            outcome = self._admit_search(self.sq_ports, sq_path, cycle,
-                                         self.stats, "sq")
-            if outcome is not None:
-                return outcome
-            outcome = self._admit_search(self.lq_ports, lq_path, cycle,
-                                         self.stats, "lq")
-            if outcome is not None:
-                return outcome
+            # Separate pools: a search whose first slot is taken bounces
+            # before its path is built.
+            if need_sq:
+                head = self.sq.backward_head(load.seq)
+                if head >= 0:
+                    if not self.sq_ports.available(head, cycle):
+                        return self._port_stall("sq", cycle)
+                    sq_path = self.sq.backward_path(load.seq)
+                    outcome = self._admit_search(self.sq_ports, sq_path,
+                                                 cycle, self.stats, "sq")
+                    if outcome is not None:
+                        return outcome
+            if need_lq:
+                head = self.lq.forward_head(load.seq)
+                if head >= 0:
+                    if not self.lq_ports.available(head, cycle):
+                        return self._port_stall("lq", cycle)
+                    lq_path = self.lq.forward_path(load.seq)
+                    outcome = self._admit_search(self.lq_ports, lq_path,
+                                                 cycle, self.stats, "lq")
+                    if outcome is not None:
+                        return outcome
 
         # All hazards cleared: reserve and perform.  The data port was
         # admitted by the d_ports.available() hazard check above, under
@@ -464,13 +495,7 @@ class LoadStoreQueue:
         if state == "ok":
             return None
         if state == "busy_now":
-            if which == "sq":
-                stats.sq_port_stalls += 1
-            else:
-                stats.lq_port_stalls += 1
-            if self.obs is not None:
-                self.obs.emit("port_retry", note=which)
-            return Retry(cycle + 1)
+            return self._port_stall(which, cycle)
         # busy_later: Section 3.2 contention.
         if self.obs is not None:
             self.obs.emit("port_retry", note=f"{which}-contention")
@@ -479,6 +504,17 @@ class LoadStoreQueue:
             return Retry(cycle + 1)
         stats.contention_squashes += 1
         return Retry(cycle + CONTENTION_REPLAY_PENALTY)
+
+    def _port_stall(self, which: str, cycle: int) -> Retry:
+        """Charge a ``which`` ("sq"/"lq") search whose first port slot
+        is taken this cycle: an ordinary structural stall."""
+        if which == "sq":
+            self.stats.sq_port_stalls += 1
+        else:
+            self.stats.lq_port_stalls += 1
+        if self.obs is not None:
+            self.obs.emit("port_retry", note=which)
+        return Retry(cycle + 1)
 
     @hotpath
     def _sq_search(self, load: DynInst, path: "SearchPath",
@@ -620,11 +656,16 @@ class LoadStoreQueue:
             self.predictor.on_store_issue(store)
             return StoreResult(violation=None)
 
-        path = self.lq.forward_path(store.seq)
-        outcome = self._admit_search(self.lq_ports, path, cycle,
-                                     self.stats, "lq")
-        if outcome is not None:
-            return outcome
+        path: SearchPath = []
+        head = self.lq.forward_head(store.seq)
+        if head >= 0:
+            if not self.lq_ports.available(head, cycle):
+                return self._port_stall("lq", cycle)
+            path = self.lq.forward_path(store.seq)
+            outcome = self._admit_search(self.lq_ports, path, cycle,
+                                         self.stats, "lq")
+            if outcome is not None:
+                return outcome
         self.lq_ports.reserve_path(path, cycle)
         store.mem_executed = True
         self.predictor.on_store_issue(store)
@@ -681,9 +722,15 @@ class LoadStoreQueue:
 
         violation: Optional[Violation] = None
         if self.config.detection_at_commit:
-            path = self.lq.forward_path(store.seq)
-            state = self.lq_ports.check_path(path, cycle)
-            if state != "ok":
+            path: SearchPath = []
+            head = self.lq.forward_head(store.seq)
+            # A taken first slot delays the commit before the path is
+            # built; otherwise the whole path must be free.
+            admitted = head < 0 or self.lq_ports.available(head, cycle)
+            if head >= 0 and admitted:
+                path = self.lq.forward_path(store.seq)
+                admitted = self.lq_ports.check_path(path, cycle) == "ok"
+            if not admitted:
                 # Stores are no longer in the pipeline: contention is
                 # resolved by simply delaying the commit (Section 3.2).
                 self.stats.store_commit_delays += 1

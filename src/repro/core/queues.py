@@ -28,7 +28,8 @@ keeps three incrementally-maintained views of the same entries so the
   bounded by occupancy and :meth:`entries` is zero-copy.
 * ``_seg_seqs`` — per-segment sorted sequence-number lists, giving the
   pipelined search itinerary (:meth:`backward_path` /
-  :meth:`forward_path`) by bisection instead of a full scan.
+  :meth:`forward_path`) and its first segment (:meth:`backward_head` /
+  :meth:`forward_head`) by bisection instead of a full scan.
 * ``_granules`` — an address-granule index (8-byte granules) mapping
   each granule to the seq-sorted entries touching it, so associative
   searches visit only same-address candidates
@@ -61,6 +62,7 @@ GRANULE_SHIFT = 3
 #: stays host-only and must not price the model.
 SIM_LINT_MODEL_VIEWS = frozenset({
     "backward_path", "forward_path", "backward_plan", "forward_plan",
+    "backward_head", "forward_head",
 })
 
 
@@ -291,6 +293,48 @@ class SegmentedQueue:
         for __, segment in keyed:
             path.append(segment)
         return path
+
+    @hotpath
+    def backward_head(self, seq: int) -> int:
+        """First segment of :meth:`backward_path`, or -1 when it is empty.
+
+        The segment holding the youngest entry older than ``seq``, found
+        with one bisection per segment and without building the path
+        (port admission only needs the first slot to bounce a search).
+        """
+        if self.num_segments == 1:
+            seqs = self._seg_seqs[0]
+            return 0 if seqs and seqs[0] < seq else -1
+        head = -1
+        youngest = -1
+        for segment, seqs in enumerate(self._seg_seqs):
+            if not seqs or seqs[0] >= seq:
+                continue
+            older = seqs[bisect_left(seqs, seq) - 1]
+            if older > youngest:
+                youngest = older
+                head = segment
+        return head
+
+    @hotpath
+    def forward_head(self, seq: int) -> int:
+        """First segment of :meth:`forward_path`, or -1 when it is empty.
+
+        The segment holding the oldest entry younger than ``seq``.
+        """
+        if self.num_segments == 1:
+            seqs = self._seg_seqs[0]
+            return 0 if seqs and seqs[-1] > seq else -1
+        head = -1
+        oldest = -1
+        for segment, seqs in enumerate(self._seg_seqs):
+            if not seqs or seqs[-1] <= seq:
+                continue
+            younger = seqs[bisect_right(seqs, seq)]
+            if head < 0 or younger < oldest:
+                oldest = younger
+                head = segment
+        return head
 
     # -- candidate index ----------------------------------------------------
 

@@ -44,6 +44,15 @@ class IssueQueue:
         """Mark ``inst`` ready for selection."""
         heapq.heappush(self._ready, (inst.seq, inst))
 
+    def has_ready(self) -> bool:
+        """True when the ready heap holds any entry.
+
+        Conservative: a stale (squashed or already-issued) entry counts
+        until :meth:`pop_ready` discards it, so a False answer means
+        select would find nothing this cycle.
+        """
+        return bool(self._ready)
+
     def pop_ready(self) -> Optional[DynInst]:
         """Oldest ready instruction, or ``None``.
 

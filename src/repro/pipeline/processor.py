@@ -17,6 +17,12 @@ Cycle phasing (per simulated cycle, in this order):
    functional units.
 5. **dispatch** — rename into ROB + issue queue + LSQ.
 6. **fetch** — fill the fetch buffer; branch predictor; I-cache.
+
+Quiet cycles, in which no stage can act, are skipped rather than
+stepped (:meth:`Processor._skip_quiet`): the loop jumps to the next
+cycle at which something can change and charges every skipped cycle
+through the counters a stepped quiet cycle bumps, so ``SimStats`` are
+identical either way.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
-from repro.config import MachineConfig
+from repro.config import LoadQueueSearchMode, MachineConfig
 from repro.core.hotpath import hotpath
 from repro.core.lsq import LoadStoreQueue, Retry, Violation
 from repro.memory.hierarchy import MemoryHierarchy
@@ -176,8 +182,14 @@ class Processor:
             # After warming, so warm-up traffic stays out of the events.
             self.obs.attach(self)
         watchdog = self.machine.core.watchdog_cycles
+        # An observer's sampler and CPI stack read per-cycle deltas, and
+        # INVALIDATION mode accrues coherence traffic every cycle: both
+        # step each cycle.
+        skip = (self.obs is None and self.machine.lsq.lq_search
+                is not LoadQueueSearchMode.INVALIDATION)
         while not self._finished():
-            self.step()
+            if not (skip and self._skip_quiet(max_cycles, watchdog)):
+                self.step()
             if max_cycles is not None and self.cycle >= max_cycles:
                 break
             if self.cycle - self._last_commit_cycle > watchdog:
@@ -212,6 +224,99 @@ class Processor:
         if self.obs is not None:
             self.obs.end_cycle(self)
         self.cycle += 1
+
+    def _skip_quiet(self, max_cycles: Optional[int], watchdog: int) -> bool:
+        """Jump over cycles in which no stage can act; returns False
+        when this cycle must be stepped instead.
+
+        A cycle is quiet when the ROB head cannot commit, no completion
+        is due, nothing is ready to issue, fetch and dispatch are
+        stalled, and every due memory-stage entry is blocked.  Nothing
+        then changes until the horizon: the next completion, the next
+        memory-stage retry, the end of a fetch stall, ``max_cycles`` or
+        the watchdog limit.  Each skipped cycle is charged what a
+        stepped one would be: the dispatch stall of the fetch-buffer
+        head, one store-set wait or load-buffer-full stall per blocked
+        due load, the LSQ occupancy integrals and the checker's scans.
+        """
+        cycle = self.cycle
+        if cycle in self._events or self.iq.has_ready():
+            return False
+        head = self.rob.head
+        if head is not None and head.state is InstState.COMPLETE:
+            return False
+        fetch_buffer = self._fetch_buffer
+        fetch_stall = self._fetch_stall_until
+        can_fetch = (self._redirect_branch is None
+                     and self._fetch_index < len(self._trace))
+        if (can_fetch and cycle >= fetch_stall
+                and len(fetch_buffer) < 2 * self._fetch_width):
+            return False
+        stall = None
+        if fetch_buffer:
+            stall = self._dispatch_stall(fetch_buffer[0])
+            if stall is None:
+                return False
+        horizon = self._last_commit_cycle + watchdog + 1
+        if max_cycles is not None and max_cycles < horizon:
+            horizon = max_cycles
+        lsq = self.lsq
+        load_buffer_full = store_set = 0
+        for __, inst, attempt in self._mem_stage:
+            if inst.state is InstState.SQUASHED:
+                return False            # the stage would drop it
+            if attempt > cycle:
+                if attempt < horizon:
+                    horizon = attempt
+            elif inst.is_load:
+                reason = lsq.load_blocked(inst)
+                if reason is None:
+                    return False
+                if reason == "load_buffer_full":
+                    load_buffer_full += 1
+                elif reason == "store_set":
+                    store_set += 1
+            elif not inst.is_store or lsq.store_blocked(inst) is None:
+                return False            # a due barrier always attempts
+        if self._events:
+            horizon = min(horizon, min(self._events))
+        if can_fetch and cycle < fetch_stall < horizon:
+            horizon = fetch_stall
+        span = horizon - cycle
+        if span <= 0:
+            return False
+        stats = self.stats
+        if stall == "rob":
+            stats.rob_full_stalls += span
+        elif stall == "iq":
+            stats.iq_full_stalls += span
+        elif stall == "lq":
+            stats.lq_full_stalls += span
+        elif stall == "sq":
+            stats.sq_full_stalls += span
+        elif stall == "rename":
+            self.regfile.note_rename_stall(span)
+        stats.load_buffer_full_stalls += load_buffer_full * span
+        stats.store_set_waits += store_set * span
+        lsq.sample(span)
+        if self.checker is not None:
+            self.checker.skip_cycles(cycle, horizon)
+        self.cycle = horizon
+        return True
+
+    def _dispatch_stall(self, inst: DynInst) -> Optional[str]:
+        """Which stall ``_dispatch`` charges while ``inst`` heads the
+        fetch buffer ("rob", "iq", "lq", "sq" or "rename"); None when
+        it can dispatch."""
+        if self.rob.full:
+            return "rob"
+        if self.iq.full:
+            return "iq"
+        if inst.is_memory and not self.lsq.can_allocate(inst):
+            return "lq" if inst.is_load else "sq"
+        if not self.regfile.can_rename(inst.inst.dest):
+            return "rename"
+        return None
 
     # ------------------------------------------------------------------
     # 1. commit

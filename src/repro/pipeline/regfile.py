@@ -28,9 +28,9 @@ class RegisterFile:
     def _is_fp(reg: int) -> bool:
         return reg >= FP_REG_BASE
 
-    def note_rename_stall(self) -> None:
-        """Record one dispatch cycle lost to an empty free list."""
-        self.rename_stalls += 1
+    def note_rename_stall(self, cycles: int = 1) -> None:
+        """Record ``cycles`` dispatch cycles lost to an empty free list."""
+        self.rename_stalls += cycles
 
     def can_rename(self, dest: int) -> bool:
         if dest == NO_REG:

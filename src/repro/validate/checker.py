@@ -86,6 +86,9 @@ class ValidationChecker:
         self._commit_index = 0                   # next trace index to commit
         self._last_seq = -1                      # last committed seq
         self._seen: Set[Tuple[str, int]] = set()
+        # True while the pipeline state has changed since the last scan
+        # (only possible with invariant_interval > 1).
+        self._unscanned = False
 
     # ------------------------------------------------------------------
     # wiring
@@ -102,6 +105,7 @@ class ValidationChecker:
         self._observed = {}
         self._commit_index = 0
         self._last_seq = -1
+        self._unscanned = False
         self.checked_loads = 0
         self.checked_cycles = 0
         self.load_verdicts = {}
@@ -117,13 +121,15 @@ class ValidationChecker:
 
     def _fail(self, kind: str, seq: int, trace_index: int, message: str,
               expected: object = None, observed: object = None,
-              invariant: bool = False) -> None:
+              invariant: bool = False, cycle: Optional[int] = None) -> None:
         key = (kind, seq)
         if key in self._seen:
             return
         self._seen.add(key)
+        if cycle is None:
+            cycle = self.processor.cycle if self.processor else -1
         failure = ValidationFailure(
-            kind=kind, cycle=self.processor.cycle if self.processor else -1,
+            kind=kind, cycle=cycle,
             seq=seq, trace_index=trace_index,
             expected=expected, observed=observed, message=message)
         if len(self.failures) < MAX_RECORDED_FAILURES:
@@ -250,10 +256,37 @@ class ValidationChecker:
     def end_cycle(self) -> None:
         if not self.use_invariants:
             return
-        processor = self.processor
-        if processor.cycle % self.invariant_interval:
+        cycle = self.processor.cycle
+        if cycle % self.invariant_interval:
+            self._unscanned = True
             return
         self.checked_cycles += 1
-        for finding in invariants.scan(processor, min_seq=self._last_seq):
+        self._scan(cycle)
+
+    def skip_cycles(self, start: int, stop: int) -> None:
+        """Account for the quiet cycles ``start .. stop-1`` the
+        processor skipped instead of stepping.
+
+        No stage acts in a quiet cycle, so nothing :func:`invariants.scan`
+        reads changes: a scan there finds what the scan after the last
+        stepped cycle found, and failures de-duplicate by ``(kind, seq)``.
+        The window's due scans therefore count in ``checked_cycles``
+        without running.  Only when ``invariant_interval`` left that
+        last state unscanned does the window's first due scan run.
+        """
+        if not self.use_invariants:
+            return
+        interval = self.invariant_interval
+        first = start + (-start) % interval
+        if first >= stop:
+            return
+        self.checked_cycles += (stop - 1 - first) // interval + 1
+        if self._unscanned:
+            self._scan(first)
+
+    def _scan(self, cycle: int) -> None:
+        self._unscanned = False
+        for finding in invariants.scan(self.processor,
+                                       min_seq=self._last_seq):
             self._fail("invariant:" + finding.name, finding.seq, -1,
-                       finding.message, invariant=True)
+                       finding.message, invariant=True, cycle=cycle)

@@ -118,9 +118,12 @@ class TestIncrementalCounters:
 class TestPathsAndIndex:
     def test_paths_agree_with_reference_plans(self):
         rng = random.Random(3)
-        for policy in (AllocationPolicy.SELF_CIRCULAR,
-                       AllocationPolicy.NO_SELF_CIRCULAR):
-            q = make_queue(segments=4, entries=2, policy=policy)
+        for segments, entries, policy in (
+                (4, 2, AllocationPolicy.SELF_CIRCULAR),
+                (4, 2, AllocationPolicy.NO_SELF_CIRCULAR),
+                (1, 8, AllocationPolicy.SELF_CIRCULAR)):
+            q = make_queue(segments=segments, entries=entries,
+                           policy=policy)
             seq = 0
             for __ in range(300):
                 action = rng.random()
@@ -132,10 +135,17 @@ class TestPathsAndIndex:
                 elif not q.empty:
                     q.squash_from(rng.choice(list(q.entries())).seq)
                 probe = seq - rng.randrange(0, q.capacity + 1)
-                assert q.backward_path(probe) == [
+                backward = q.backward_path(probe)
+                forward = q.forward_path(probe)
+                assert backward == [
                     segment for segment, __e in q.backward_plan(probe)]
-                assert q.forward_path(probe) == [
+                assert forward == [
                     segment for segment, __e in q.forward_plan(probe)]
+                # The heads port admission checks before building a path.
+                assert q.backward_head(probe) == \
+                    (backward[0] if backward else -1)
+                assert q.forward_head(probe) == \
+                    (forward[0] if forward else -1)
 
     def test_granule_index_tracks_membership_exactly(self):
         rng = random.Random(5)

@@ -189,7 +189,8 @@ def test_suppressed_load_buffer_raises_invariant_violation():
 # fault campaigns: zero silent corruptions
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("preset", ["conventional", "techniques", "full"])
+@pytest.mark.parametrize("preset", ["conventional", "techniques", "segmented",
+                                    "full"])
 def test_fault_campaigns_never_silent(preset):
     trace = generate_trace("gcc", n_instructions=2000, seed=1)
     reports = run_all_fault_classes(trace, preset_machine(preset), seed=3)
