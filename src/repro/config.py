@@ -162,6 +162,8 @@ class CacheConfig:
             )
         if self.num_sets & (self.num_sets - 1):
             raise ValueError("number of sets must be a power of two")
+        if self.ports <= 0:
+            raise ValueError("cache ports must be positive")
 
 
 @dataclass(frozen=True)

@@ -138,6 +138,20 @@ class LoadStoreQueue:
             self.lq_ports = PortCalendar(config.search_ports)
             self.sq_ports = PortCalendar(config.search_ports)
 
+        # Per-config constants, computed once: whether loads search the
+        # LQ, whether the SQ and LQ port pools are separate (then loads
+        # keep first-slot links, see allocate()), and the NILP gate.
+        lq_search = config.lq_search
+        self._search_lq = lq_search in (
+            LoadQueueSearchMode.SEARCH_LQ,
+            LoadQueueSearchMode.IN_ORDER_ALWAYS_SEARCH)
+        self._separate_pools = self.sq_ports is not self.lq_ports
+        self._buffer_gate = lq_search is LoadQueueSearchMode.LOAD_BUFFER
+        self._in_order_gate = lq_search in (
+            LoadQueueSearchMode.IN_ORDER,
+            LoadQueueSearchMode.IN_ORDER_ALWAYS_SEARCH)
+        self._perfect_predictor = config.predictor is PredictorMode.PERFECT
+
         #: Optional event bus (repro.obs); wired by Observer.attach().
         self.obs: Optional[EventBus] = None
         self.predictor: Predictor = make_predictor(config.predictor, ss_config, stats,
@@ -190,6 +204,18 @@ class LoadStoreQueue:
 
     def allocate(self, inst: DynInst) -> None:
         if inst.is_load:
+            if self._separate_pools:
+                # First-slot links.  The SQ tail stays this load's
+                # youngest older store until it commits (later stores
+                # are younger; a squash removing it removes the load),
+                # and this load stays its LQ predecessor's successor
+                # until a squash removes it.  A link whose target has
+                # left the queue reads segment -1: no search.  Executed
+                # loads need no links (_finish_load_issue()).
+                inst.older_store = self.sq.youngest
+                tail = self.lq.youngest
+                if tail is not None and not tail.mem_executed:
+                    tail.next_load = inst
             self.lq.allocate(inst)
             self.nilp.on_allocate(inst)
             self.predictor.on_load_dispatch(inst)
@@ -207,17 +233,18 @@ class LoadStoreQueue:
     @hotpath
     def load_blocked(self, load: DynInst) -> Optional[str]:
         """Why this load may not yet access memory (None when free)."""
-        if self._membar_blocks(load):
+        # With no barrier in flight, or no store-set wait outside the
+        # perfect predictor, a gate's answer is "not blocked": skip it.
+        if self._membars and self._membar_blocks(load):
             return "membar"
-        blocker = self._store_set_blocker(load)
-        if blocker is not None:
-            return blocker
-        mode = self.config.lq_search
-        if mode is LoadQueueSearchMode.LOAD_BUFFER:
+        if self._perfect_predictor or load.wait_store_seq is not None:
+            blocker = self._store_set_blocker(load)
+            if blocker is not None:
+                return blocker
+        if self._buffer_gate:
             if not self.nilp.is_in_order(load) and self.load_buffer.full:
                 return "load_buffer_full"
-        elif mode in (LoadQueueSearchMode.IN_ORDER,
-                      LoadQueueSearchMode.IN_ORDER_ALWAYS_SEARCH):
+        elif self._in_order_gate:
             if not self.nilp.is_in_order(load):
                 return "in_order"
         return None
@@ -376,9 +403,7 @@ class LoadStoreQueue:
         # First call: the skip-sq-search fault injector draws its random
         # numbers here, once per attempt.
         need_sq = self._needs_sq_search(load)
-        mode = self.config.lq_search
-        need_lq = mode in (LoadQueueSearchMode.SEARCH_LQ,
-                           LoadQueueSearchMode.IN_ORDER_ALWAYS_SEARCH)
+        need_lq = self._search_lq
 
         # Ports are checked before any search path is built (paths are
         # pure): on a port-starved machine most attempts bounce.
@@ -394,7 +419,44 @@ class LoadStoreQueue:
         # still counted against bandwidth demand, as in the paper).
         sq_path: SearchPath = []
         lq_path: SearchPath = []
-        if self.sq_ports is self.lq_ports:
+        if self._separate_pools:
+            # Each search's first slot comes from the load's links (see
+            # allocate()): the segment of its youngest older store, and
+            # of its LQ successor; -1 when there is none.  A search
+            # bounces on a taken first slot.  When its calendar has no
+            # exhausted slot after this cycle, a free first slot admits
+            # it, and its path is built once both searches are admitted;
+            # otherwise its path is built now and checked in full.
+            sq_head = lq_head = -1
+            if need_sq and load.older_store is not None:
+                sq_head = load.older_store.lsq_segment
+            if need_lq and load.next_load is not None:
+                lq_head = load.next_load.lsq_segment
+            if sq_head >= 0:
+                calendar = self.sq_ports
+                if not calendar.available(sq_head, cycle):
+                    return self._port_stall("sq", cycle)
+                if calendar.last_exhausted > cycle:
+                    sq_path = self.sq.backward_path(load.seq)
+                    outcome = self._admit_search(calendar, sq_path,
+                                                 cycle, self.stats, "sq")
+                    if outcome is not None:
+                        return outcome
+            if lq_head >= 0:
+                calendar = self.lq_ports
+                if not calendar.available(lq_head, cycle):
+                    return self._port_stall("lq", cycle)
+                if calendar.last_exhausted > cycle:
+                    lq_path = self.lq.forward_path(load.seq)
+                    outcome = self._admit_search(calendar, lq_path,
+                                                 cycle, self.stats, "lq")
+                    if outcome is not None:
+                        return outcome
+            if sq_head >= 0 and not sq_path:
+                sq_path = self.sq.backward_path(load.seq)
+            if lq_head >= 0 and not lq_path:
+                lq_path = self.lq.forward_path(load.seq)
+        else:
             if need_sq:
                 sq_path = self.sq.backward_path(load.seq)
             if need_lq:
@@ -412,29 +474,6 @@ class LoadStoreQueue:
                                              cycle, self.stats, "lq")
             if outcome is not None:
                 return outcome
-        else:
-            # Separate pools: a search whose first slot is taken bounces
-            # before its path is built.
-            if need_sq:
-                head = self.sq.backward_head(load.seq)
-                if head >= 0:
-                    if not self.sq_ports.available(head, cycle):
-                        return self._port_stall("sq", cycle)
-                    sq_path = self.sq.backward_path(load.seq)
-                    outcome = self._admit_search(self.sq_ports, sq_path,
-                                                 cycle, self.stats, "sq")
-                    if outcome is not None:
-                        return outcome
-            if need_lq:
-                head = self.lq.forward_head(load.seq)
-                if head >= 0:
-                    if not self.lq_ports.available(head, cycle):
-                        return self._port_stall("lq", cycle)
-                    lq_path = self.lq.forward_path(load.seq)
-                    outcome = self._admit_search(self.lq_ports, lq_path,
-                                                 cycle, self.stats, "lq")
-                    if outcome is not None:
-                        return outcome
 
         # All hazards cleared: reserve and perform.  The data port was
         # admitted by the d_ports.available() hazard check above, under
@@ -572,9 +611,7 @@ class LoadStoreQueue:
                            path: "SearchPath") -> Optional[Violation]:
         """Load-load ordering: find a younger, already-issued,
         same-address load (Section 2.2)."""
-        mode = self.config.lq_search
-        if mode in (LoadQueueSearchMode.SEARCH_LQ,
-                    LoadQueueSearchMode.IN_ORDER_ALWAYS_SEARCH):
+        if self._search_lq:
             self.stats.lq_searches += 1
             self.stats.lq_segment_visits += max(len(path), 1)
             if self.obs is not None and len(path) > 1:
@@ -598,7 +635,7 @@ class LoadStoreQueue:
                         self.stats.load_load_squashes += 1
                         return Violation(hit.seq, "load-load")
             return None
-        if mode is LoadQueueSearchMode.LOAD_BUFFER:
+        if self._buffer_gate:
             self.stats.load_buffer_searches += 1
             hit = self.load_buffer.search(load)
             if hit is not None:
@@ -630,12 +667,13 @@ class LoadStoreQueue:
     def _finish_load_issue(self, load: DynInst) -> None:
         """NILP/LIV bookkeeping once the load's access is under way."""
         in_order = self.nilp.is_in_order(load)
-        use_buffer = self.config.lq_search is LoadQueueSearchMode.LOAD_BUFFER
+        use_buffer = self._buffer_gate
         if not in_order:
             self.nilp.mark_ooo_issue(load)
             if use_buffer:
                 self.load_buffer.insert(load)
         load.mem_executed = True
+        load.older_store = load.next_load = None
         for passed in self.nilp.advance():
             if use_buffer and passed.load_buffer_slot >= 0:
                 self.load_buffer.release(passed)

@@ -28,8 +28,8 @@ keeps three incrementally-maintained views of the same entries so the
   bounded by occupancy and :meth:`entries` is zero-copy.
 * ``_seg_seqs`` — per-segment sorted sequence-number lists, giving the
   pipelined search itinerary (:meth:`backward_path` /
-  :meth:`forward_path`) and its first segment (:meth:`backward_head` /
-  :meth:`forward_head`) by bisection instead of a full scan.
+  :meth:`forward_path`) and its first segment (:meth:`forward_head`)
+  by bisection instead of a full scan.
 * ``_granules`` — an address-granule index (8-byte granules) mapping
   each granule to the seq-sorted entries touching it, so associative
   searches visit only same-address candidates
@@ -62,7 +62,7 @@ GRANULE_SHIFT = 3
 #: stays host-only and must not price the model.
 SIM_LINT_MODEL_VIEWS = frozenset({
     "backward_path", "forward_path", "backward_plan", "forward_plan",
-    "backward_head", "forward_head",
+    "forward_head",
 })
 
 
@@ -216,6 +216,7 @@ class SegmentedQueue:
         if inst.is_load:
             self.live_loads -= 1
         self._index_remove(inst)
+        inst.lsq_segment = -1
 
     def squash_from(self, seq: int) -> List[DynInst]:
         """Drop every entry with sequence >= ``seq``; return them."""
@@ -238,6 +239,7 @@ class SegmentedQueue:
             if inst.is_load:
                 self.live_loads -= 1
             self._index_remove(inst)
+            inst.lsq_segment = -1
         if dropped:
             self._virtual = dropped[-1].lsq_virtual
             youngest = self.youngest
@@ -295,32 +297,12 @@ class SegmentedQueue:
         return path
 
     @hotpath
-    def backward_head(self, seq: int) -> int:
-        """First segment of :meth:`backward_path`, or -1 when it is empty.
-
-        The segment holding the youngest entry older than ``seq``, found
-        with one bisection per segment and without building the path
-        (port admission only needs the first slot to bounce a search).
-        """
-        if self.num_segments == 1:
-            seqs = self._seg_seqs[0]
-            return 0 if seqs and seqs[0] < seq else -1
-        head = -1
-        youngest = -1
-        for segment, seqs in enumerate(self._seg_seqs):
-            if not seqs or seqs[0] >= seq:
-                continue
-            older = seqs[bisect_left(seqs, seq) - 1]
-            if older > youngest:
-                youngest = older
-                head = segment
-        return head
-
-    @hotpath
     def forward_head(self, seq: int) -> int:
         """First segment of :meth:`forward_path`, or -1 when it is empty.
 
-        The segment holding the oldest entry younger than ``seq``.
+        The segment holding the oldest entry younger than ``seq``, found
+        with one bisection per segment and without building the path
+        (port admission only needs the first slot to bounce a search).
         """
         if self.num_segments == 1:
             seqs = self._seg_seqs[0]
@@ -398,9 +380,16 @@ class SegmentedQueue:
 
 
 class PortCalendar:
-    """Cycle-by-cycle booking of per-segment search ports."""
+    """Cycle-by-cycle booking of per-segment search ports.
 
-    __slots__ = ("ports", "_used", "_sweep_cycle")
+    ``last_exhausted`` is the latest cycle holding a slot booked to
+    capacity (-1 before any).  Only a pipelined search's later slots
+    can lie after the current cycle, so while ``last_exhausted <=
+    cycle`` a search starting at ``cycle`` is admitted or bounced by
+    its first slot alone.
+    """
+
+    __slots__ = ("ports", "_used", "_sweep_cycle", "last_exhausted")
 
     def __init__(self, ports_per_segment: int) -> None:
         if ports_per_segment <= 0:
@@ -408,6 +397,7 @@ class PortCalendar:
         self.ports = ports_per_segment
         self._used: Dict[Tuple[int, int], int] = {}
         self._sweep_cycle = 0
+        self.last_exhausted = -1
 
     def available(self, segment: int, cycle: int) -> bool:
         return self._used.get((segment, cycle), 0) < self.ports
@@ -417,10 +407,12 @@ class PortCalendar:
 
     def reserve(self, segment: int, cycle: int) -> None:
         key = (segment, cycle)
-        used = self._used.get(key, 0)
-        if used >= self.ports:
+        used = self._used.get(key, 0) + 1
+        if used > self.ports:
             raise RuntimeError("reserving an exhausted port slot")
-        self._used[key] = used + 1
+        self._used[key] = used
+        if used == self.ports and cycle > self.last_exhausted:
+            self.last_exhausted = cycle
 
     def check_path(self, segments: List[int], start_cycle: int) -> str:
         """Classify availability along a pipelined search path.
@@ -434,6 +426,8 @@ class PortCalendar:
             return "ok"
         if not self.available(segments[0], start_cycle):
             return "busy_now"
+        if self.last_exhausted <= start_cycle:
+            return "ok"
         for offset in range(1, len(segments)):
             if not self.available(segments[offset], start_cycle + offset):
                 return "busy_later"

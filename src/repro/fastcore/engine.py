@@ -500,6 +500,7 @@ class FastProcessor(Processor):
                     commit_load(head)
                 rob_entries.popleft()
                 head.state = committed_state
+                head.prev_writer = None     # see Processor._commit
                 release_reg(head.inst.dest)
                 stats.committed += 1
                 if head.is_load:
@@ -527,7 +528,8 @@ class FastProcessor(Processor):
                         continue
                     done.state = complete_state
                     done.complete_cycle = cycle
-                    for consumer in done.consumers:
+                    consumers = done.consumers
+                    for consumer in consumers:
                         consumer_state = consumer.state
                         if consumer_state is squashed_state:
                             continue
@@ -535,6 +537,7 @@ class FastProcessor(Processor):
                         if (consumer.pending_sources == 0
                                 and consumer_state is dispatched_state):
                             heappush(iq_ready, (consumer.seq, consumer))
+                    consumers.clear()           # see Processor._complete
                     if done is redirect:
                         redirect = None
                         stall = cycle + redirect_bubble
@@ -553,10 +556,8 @@ class FastProcessor(Processor):
                 # (pure) search-path computation in try_execute_load.
                 if d_meter._cycle == cycle:
                     d_free = d_ports_n - d_meter._used
-                elif d_ports_n > 0:
-                    d_free = d_ports_n
                 else:
-                    d_free = 1   # a stale meter admits the first request
+                    d_free = d_ports_n
                 if flat_ports:
                     sq_free = search_ports - sq_used_map.get((0, cycle), 0)
                     lq_free = search_ports - lq_used_map.get((0, cycle), 0)

@@ -345,6 +345,10 @@ class Processor:
             elif head.is_load:
                 lsq.commit_load(head)
             rob.commit_head()
+            # A committed instruction is never squashed, so nothing reads
+            # its previous writer again; dropping the link keeps retired
+            # instructions from chaining back to the start of the run.
+            head.prev_writer = None
             self.regfile.release(head.inst.dest)
             if tracer is not None:
                 tracer.note("commit", head, cycle)
@@ -384,7 +388,8 @@ class Processor:
             inst.complete_cycle = cycle
             if tracer is not None:
                 tracer.note("complete", inst, cycle)
-            for consumer in inst.consumers:
+            consumers = inst.consumers
+            for consumer in consumers:
                 state = consumer.state
                 if state is InstState.SQUASHED:
                     continue
@@ -392,6 +397,8 @@ class Processor:
                 if (consumer.pending_sources == 0
                         and state is InstState.DISPATCHED):
                     iq_wake(consumer)
+            # Woken once: a complete writer gains no new consumers.
+            consumers.clear()
             if inst is self._redirect_branch:
                 self._redirect_branch = None
                 bubble = max(self.machine.core.branch_mispredict_penalty - 2,
@@ -413,6 +420,13 @@ class Processor:
             return
         mem_stage = self._mem_stage
         stats = self.stats
+        events = self._events
+        checker = self.checker
+        tracer = self.tracer
+        load_blocked = lsq.load_blocked
+        try_execute_load = lsq.try_execute_load
+        store_blocked = lsq.store_blocked
+        try_execute_store = lsq.try_execute_store
         index = 0
         while index < len(mem_stage):
             entry = mem_stage[index]
@@ -424,7 +438,7 @@ class Processor:
                 index += 1
                 continue
             if inst.is_load:
-                reason = lsq.load_blocked(inst)
+                reason = load_blocked(inst)
                 if reason is not None:
                     if reason == "load_buffer_full":
                         stats.load_buffer_full_stalls += 1
@@ -432,25 +446,24 @@ class Processor:
                         stats.store_set_waits += 1
                     index += 1
                     continue
-                outcome = lsq.try_execute_load(inst, cycle)
+                outcome = try_execute_load(inst, cycle)
                 if isinstance(outcome, Retry):
                     entry[2] = outcome.next_cycle
                     index += 1
                     continue
                 mem_stage.pop(index)
                 inst.state = InstState.EXECUTING
-                self._events.setdefault(cycle + outcome.latency,
-                                        []).append(inst)
-                if self.checker is not None:
-                    self.checker.on_load_executed(inst, outcome.violation)
+                events.setdefault(cycle + outcome.latency, []).append(inst)
+                if checker is not None:
+                    checker.on_load_executed(inst, outcome.violation)
                 if outcome.violation is not None:
                     self._recover(outcome.violation)
                     return
             elif inst.is_store:
-                if lsq.store_blocked(inst) is not None:
+                if store_blocked(inst) is not None:
                     index += 1
                     continue
-                outcome = lsq.try_execute_store(inst, cycle)
+                outcome = try_execute_store(inst, cycle)
                 if isinstance(outcome, Retry):
                     entry[2] = outcome.next_cycle
                     index += 1
@@ -458,8 +471,8 @@ class Processor:
                 mem_stage.pop(index)
                 inst.state = InstState.COMPLETE
                 inst.complete_cycle = cycle
-                if self.tracer is not None:
-                    self.tracer.note("complete", inst, cycle)
+                if tracer is not None:
+                    tracer.note("complete", inst, cycle)
                 if outcome.violation is not None:
                     self._recover(outcome.violation)
                     return
@@ -472,8 +485,8 @@ class Processor:
                 mem_stage.pop(index)
                 inst.state = InstState.COMPLETE
                 inst.complete_cycle = cycle
-                if self.tracer is not None:
-                    self.tracer.note("complete", inst, cycle)
+                if tracer is not None:
+                    tracer.note("complete", inst, cycle)
 
     # ------------------------------------------------------------------
     # 4. issue

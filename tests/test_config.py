@@ -40,6 +40,14 @@ class TestCacheConfig:
             CacheConfig(size_bytes=1000, associativity=3,
                         block_bytes=32, hit_latency=2)
 
+    def test_rejects_zero_ports(self):
+        # A zero-port cache would still admit one access per cycle: the
+        # port meter treats every new cycle as free.
+        for ports in (0, -1):
+            with pytest.raises(ValueError):
+                CacheConfig(size_bytes=64 * 1024, associativity=2,
+                            block_bytes=32, hit_latency=2, ports=ports)
+
 
 class TestStoreSetConfig:
     def test_defaults_match_table1(self):

@@ -1,20 +1,26 @@
 """Tests for the hot-path overhaul: bounded memory, O(1) counters, the
-candidate index, search itineraries, the perf baseline, and SIM-H.
+candidate index, search itineraries, first-slot admission, the perf
+baseline, and SIM-H.
 
 The golden-digest suite (``test_golden_parity.py``) proves the indexed
 rewrite is *bit-identical*; the tests here pin the host-side contracts
 the rewrite introduced — the live window stays bounded, the incremental
 counters never drift from a recount, the granule index tracks
-allocate/commit/squash exactly, and the committed perf baseline's
-report format feeds the regression gate.
+allocate/commit/squash exactly, a load's links and the port calendar's
+horizon give the same admission answers as the full search paths, and
+the committed perf baseline's report format feeds the regression gate.
 """
 
 import random
 
-from repro.config import AllocationPolicy
+from repro.config import AllocationPolicy, LsqConfig, MemoryConfig, \
+    StoreSetConfig
 from repro.core.load_buffer import LoadBuffer
-from repro.core.queues import GRANULE_SHIFT, SegmentedQueue
+from repro.core.lsq import LoadResult, LoadStoreQueue, StoreResult
+from repro.core.queues import GRANULE_SHIFT, PortCalendar, SegmentedQueue
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.dyninst import DynInst
+from repro.stats.counters import SimStats
 from tests.conftest import load, store
 
 
@@ -141,9 +147,8 @@ class TestPathsAndIndex:
                     segment for segment, __e in q.backward_plan(probe)]
                 assert forward == [
                     segment for segment, __e in q.forward_plan(probe)]
-                # The heads port admission checks before building a path.
-                assert q.backward_head(probe) == \
-                    (backward[0] if backward else -1)
+                # The head store admission checks before building a path
+                # (loads read theirs from links, see TestFirstSlotLinks).
                 assert q.forward_head(probe) == \
                     (forward[0] if forward else -1)
 
@@ -204,6 +209,127 @@ class TestPathsAndIndex:
         q.commit_head(made[0])
         q.squash_from(made[2].seq)
         assert list(q.entries()) == [made[1]]
+
+
+# ---------------------------------------------------------------------------
+# first-slot admission: load links and the port-calendar horizon
+# ---------------------------------------------------------------------------
+
+def link_slot(link):
+    """First port slot a load reads from one of its links."""
+    return link.lsq_segment if link is not None else -1
+
+
+class TestFirstSlotLinks:
+    """A load's links give the first segment of each search path."""
+
+    @staticmethod
+    def drive(lsq, rng, steps):
+        """Random dispatch/execute/commit/squash in program order; yields
+        after every step."""
+        window = []                      # live memory ops, program order
+        seq = 0
+        cycle = 0
+        for __ in range(steps):
+            cycle += 10                  # fresh cycle: every port is free
+            action = rng.random()
+            if action < 0.45:
+                inst = make_entry(seq, addr=8 * rng.randrange(6),
+                                  is_store=rng.random() < 0.4)
+                if lsq.can_allocate(inst):
+                    lsq.allocate(inst)
+                    window.append(inst)
+                    seq += 1
+            elif action < 0.6 and window:
+                inst = rng.choice(window)
+                if inst.is_load and not inst.mem_executed:
+                    assert isinstance(lsq.try_execute_load(inst, cycle),
+                                      LoadResult)
+                elif inst.is_store and not inst.mem_executed:
+                    assert isinstance(lsq.try_execute_store(inst, cycle),
+                                      StoreResult)
+            elif action < 0.85 and window:
+                inst = window.pop(0)
+                if inst.is_load:
+                    if not inst.mem_executed:
+                        lsq.try_execute_load(inst, cycle)
+                    lsq.commit_load(inst)
+                else:
+                    if not inst.mem_executed:
+                        lsq.try_execute_store(inst, cycle)
+                    lsq.try_commit_store(inst, cycle + 1)
+            elif window:
+                cut = rng.choice(window).seq
+                lsq.squash_from(cut)
+                window = [inst for inst in window if inst.seq < cut]
+            yield window
+
+    def test_links_give_the_first_slot_of_each_path(self):
+        rng = random.Random(11)
+        probes = 0
+        for segments, policy in ((1, AllocationPolicy.SELF_CIRCULAR),
+                                 (4, AllocationPolicy.SELF_CIRCULAR),
+                                 (4, AllocationPolicy.NO_SELF_CIRCULAR)):
+            config = LsqConfig(lq_entries=8, sq_entries=8,
+                               segments=segments, segment_entries=2,
+                               allocation=policy)
+            lsq = LoadStoreQueue(config, StoreSetConfig(clear_interval=0),
+                                 MemoryHierarchy(MemoryConfig()),
+                                 SimStats())
+            for window in self.drive(lsq, rng, 600):
+                for inst in window:
+                    if not inst.is_load:
+                        continue
+                    if inst.mem_executed:
+                        # Executed loads drop their links.
+                        assert inst.older_store is None
+                        assert inst.next_load is None
+                        continue
+                    backward = lsq.sq.backward_path(inst.seq)
+                    forward = lsq.lq.forward_path(inst.seq)
+                    assert link_slot(inst.older_store) == \
+                        (backward[0] if backward else -1)
+                    assert link_slot(inst.next_load) == \
+                        (forward[0] if forward else -1)
+                    probes += 1
+        assert probes > 500
+
+    def test_unified_queue_keeps_no_links(self):
+        lsq = LoadStoreQueue(LsqConfig(unified_queue=True),
+                             StoreSetConfig(clear_interval=0),
+                             MemoryHierarchy(MemoryConfig()), SimStats())
+        made = [make_entry(0, is_store=True), make_entry(1), make_entry(2)]
+        for inst in made:
+            lsq.allocate(inst)
+        assert all(inst.older_store is None and inst.next_load is None
+                   for inst in made)
+
+
+class TestCalendarHorizon:
+    def test_clear_horizon_decides_by_first_slot(self):
+        rng = random.Random(13)
+        decided = 0
+        for ports in (1, 2, 3):
+            cal = PortCalendar(ports)
+            for cycle in range(400):
+                cal.begin_cycle(cycle)
+                for __ in range(rng.randrange(4)):
+                    path = rng.sample(range(4), rng.randrange(1, 5))
+                    if cal.check_path(path, cycle) == "ok":
+                        cal.reserve_path(path, cycle)
+                for __ in range(4):
+                    path = rng.sample(range(4), rng.randrange(1, 5))
+                    horizon_clear = not any(
+                        cal.free_ports(segment, at) <= 0
+                        for segment in range(4)
+                        for at in range(cycle + 1, cycle + 5))
+                    assert horizon_clear == (cal.last_exhausted <= cycle)
+                    if horizon_clear:
+                        first = ("ok" if cal.available(path[0], cycle)
+                                 else "busy_now")
+                        assert cal.check_path(path, cycle) == first
+                        decided += 1
+        assert decided > 100
 
 
 # ---------------------------------------------------------------------------
