@@ -112,7 +112,10 @@ def _load_trace(args) -> Trace:
     if name.endswith(".lsqtrace"):
         if not os.path.exists(name):
             _usage_error(f"trace file not found: {name}")
-        return Trace.load(name)
+        try:
+            return Trace.load(name)
+        except ValueError as error:
+            _usage_error(f"bad trace file: {error}")
     if name.startswith("litmus/"):
         from repro.litmus import parse_litmus_name
         try:

@@ -35,12 +35,16 @@ in ``tests/test_engine.py`` assert exactly that.
 Parallelism
 -----------
 
-``SweepEngine(jobs=N)`` runs missing cells through a worker pool;
-workers receive the pickled :class:`Cell` (the :class:`MachineConfig`
-plus trace spec), regenerate the trace, simulate, and ship the
-:class:`~repro.pipeline.processor.SimulationResult` back.  Results are
-returned in input order regardless of completion order, so the parallel
-path is observationally identical to the serial one.
+``SweepEngine(jobs=N)`` runs missing cells through a worker pool.  One
+task covers the missing cells that share a trace (benchmark, run length
+and seed): the worker receives their pickled :class:`Cell` objects (the
+:class:`MachineConfig` plus trace spec), generates the trace once,
+simulates each machine on it, and ships the
+:class:`~repro.pipeline.processor.SimulationResult` objects back.  A
+trace is immutable (frozen instructions, and neither the pipeline nor
+the oracle writes to it), so the cells of a task cannot see each other.
+Results are returned in input order regardless of completion order, so
+the parallel path is observationally identical to the serial one.
 """
 
 from __future__ import annotations
@@ -289,33 +293,75 @@ class ResultCache:
                 os.close(descriptor)
 
 
-def _simulate_cell(cell: Cell) -> Tuple[SimulationResult, float,
-                                        Optional[ValidationSummary],
-                                        Optional[ObsSummary]]:
-    """Worker body: regenerate the trace, simulate, summarise.
+_CellOutput = Tuple[SimulationResult, float, Optional[ValidationSummary],
+                    Optional[ObsSummary]]
 
+
+def _simulate_cells(cells: Sequence[Cell]) -> List[_CellOutput]:
+    """Worker body: generate the cells' shared trace once, then simulate
+    each cell's machine on it and summarise.
+
+    Every cell must name the same (benchmark, n_instructions, seed).  A
+    cell's ``sim_s`` is its own simulation plus an equal share of the
+    generation time, so the sum over the task is its total work.
     Top-level (picklable) so it can run in pool workers; also the serial
     path, so both paths share one definition.  Validation errors
     propagate — a failed run is never cached.
     """
+    first = cells[0]
     started = time.perf_counter()  # sim-lint: ignore[SIM-D004]
-    trace = generate_trace(cell.benchmark,
-                           n_instructions=cell.n_instructions,
-                           seed=cell.seed)
-    checker = None
-    if cell.validate:
-        from repro.validate import ValidationChecker
-        checker = ValidationChecker()
-    observer = Observer(cell.obs) if cell.obs is not None else None
-    result = simulate(trace, cell.machine, checker=checker, obs=observer)
-    sim_s = time.perf_counter() - started  # sim-lint: ignore[SIM-D004]
-    validation = None
-    if checker is not None:
-        validation = ValidationSummary(checked_loads=checker.checked_loads,
-                                       checked_cycles=checker.checked_cycles,
-                                       report=checker.report())
-    obs_summary = observer.summary() if observer is not None else None
-    return result, sim_s, validation, obs_summary
+    trace = generate_trace(first.benchmark,
+                           n_instructions=first.n_instructions,
+                           seed=first.seed)
+    gen_share = (time.perf_counter() - started) / len(cells)  # sim-lint: ignore[SIM-D004]
+    outputs: List[_CellOutput] = []
+    for cell in cells:
+        started = time.perf_counter()  # sim-lint: ignore[SIM-D004]
+        checker = None
+        if cell.validate:
+            from repro.validate import ValidationChecker
+            checker = ValidationChecker()
+        observer = Observer(cell.obs) if cell.obs is not None else None
+        result = simulate(trace, cell.machine, checker=checker, obs=observer)
+        sim_s = gen_share + time.perf_counter() - started  # sim-lint: ignore[SIM-D004]
+        validation = None
+        if checker is not None:
+            validation = ValidationSummary(
+                checked_loads=checker.checked_loads,
+                checked_cycles=checker.checked_cycles,
+                report=checker.report())
+        obs_summary = observer.summary() if observer is not None else None
+        outputs.append((result, sim_s, validation, obs_summary))
+    return outputs
+
+
+def _simulate_cell(cell: Cell) -> _CellOutput:
+    """A one-cell task: generate the trace, simulate, summarise."""
+    return _simulate_cells([cell])[0]
+
+
+def _tasks(cells: Sequence[Cell], jobs: int) -> List[List[int]]:
+    """Partition ``cells`` (by position) into pool tasks.
+
+    Cells that share a trace form one task, in order of first
+    appearance.  While there are fewer tasks than ``min(jobs,
+    len(cells))``, the largest task is split in half, so grouping never
+    idles a worker the per-cell split would have used.
+    """
+    tasks: List[List[int]] = []
+    task_of: Dict[Tuple[str, int, int], int] = {}
+    for position, cell in enumerate(cells):
+        key = (cell.benchmark, cell.n_instructions, cell.seed)
+        if key not in task_of:
+            task_of[key] = len(tasks)
+            tasks.append([])
+        tasks[task_of[key]].append(position)
+    while len(tasks) < min(jobs, len(cells)):
+        largest = max(range(len(tasks)), key=lambda t: len(tasks[t]))
+        task = tasks[largest]
+        half = len(task) // 2
+        tasks[largest:largest + 1] = [task[:half], task[half:]]
+    return tasks
 
 
 #: Progress callback: (finished cell, 1-based index, total).
@@ -426,20 +472,26 @@ class SweepEngine:
 
         if missing:
             started = time.perf_counter()  # sim-lint: ignore[SIM-D004]
-            if self.jobs > 1 and len(missing) > 1:
-                with Pool(processes=min(self.jobs, len(missing))) as pool:
-                    outputs = pool.map(_simulate_cell,
-                                       [cell for _, cell, _ in missing],
-                                       chunksize=1)
+            missing_cells = [cell for _, cell, _ in missing]
+            tasks = _tasks(missing_cells, self.jobs)
+            batches = [[missing_cells[position] for position in task]
+                       for task in tasks]
+            if self.jobs > 1 and len(tasks) > 1:
+                with Pool(processes=min(self.jobs, len(tasks))) as pool:
+                    task_outputs = pool.map(_simulate_cells, batches,
+                                            chunksize=1)
             else:
-                outputs = [_simulate_cell(cell) for _, cell, _ in missing]
+                task_outputs = [_simulate_cells(batch) for batch in batches]
+            outputs: Dict[int, _CellOutput] = {}
+            for task, task_output in zip(tasks, task_outputs):
+                outputs.update(zip(task, task_output))
             elapsed = time.perf_counter() - started  # sim-lint: ignore[SIM-D004]
             # Attribute coordinator wall time evenly across the batch:
             # with a pool, per-cell wall time is not individually
             # observable from here, and the sum is what matters.
             share = elapsed / len(missing)
-            for (index, cell, digest), (result, sim_s, validation, obs) \
-                    in zip(missing, outputs):
+            for position, (index, cell, digest) in enumerate(missing):
+                result, sim_s, validation, obs = outputs[position]
                 finished = self._finish(cell, digest, result, sim_s,
                                         share, validation, obs)
                 results[index] = finished

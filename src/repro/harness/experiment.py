@@ -25,8 +25,7 @@ from repro.config import LsqConfig, MachineConfig, base_machine
 from repro.harness.engine import Cell, SweepEngine
 from repro.obs import ObsConfig, ObsSummary
 from repro.pipeline.processor import SimulationResult
-from repro.workload import ALL_BENCHMARKS, generate_trace
-from repro.workload.trace import Trace
+from repro.workload import ALL_BENCHMARKS
 
 
 def default_instructions() -> int:
@@ -44,7 +43,7 @@ _ResultKey = Tuple[str, MachineConfig, int, int, bool, Optional[ObsConfig]]
 
 
 class ExperimentRunner:
-    """Runs (benchmark, machine) pairs with trace and result caching."""
+    """Runs (benchmark, machine) pairs with result caching."""
 
     def __init__(self, n_instructions: Optional[int] = None,
                  seed: int = 0,
@@ -69,17 +68,8 @@ class ExperimentRunner:
         #: ``SweepEngine(jobs=N, cache=ResultCache())`` for parallel,
         #: cross-process-cached sweeps.
         self.engine = engine if engine is not None else SweepEngine()
-        self._traces: Dict[Tuple[str, int], Trace] = {}
         self._results: Dict[_ResultKey, SimulationResult] = {}
         self._obs_summaries: Dict[_ResultKey, Optional[ObsSummary]] = {}
-
-    def trace(self, benchmark: str, seed: Optional[int] = None) -> Trace:
-        seed = self.seed if seed is None else seed
-        key = (benchmark, seed)
-        if key not in self._traces:
-            self._traces[key] = generate_trace(
-                benchmark, n_instructions=self.n_instructions, seed=seed)
-        return self._traces[key]
 
     def _cell(self, benchmark: str, machine: MachineConfig,
               seed: int) -> Cell:

@@ -15,12 +15,19 @@ locality classes that matter to the paper's mechanisms:
 
 All streams are deterministic given their seed so traces are
 reproducible.
+
+A pointer chase over a large region (mcf: 393,216 64-byte slots) emits
+only a few hundred addresses per trace, so building the permutation is
+most of the stream's cost.  The stream makes exactly the
+``getrandbits`` draws of ``random.Random(seed).shuffle``, inline, over a
+packed ``array`` (4 bytes a slot instead of a boxed int plus a list
+pointer), then walks the shuffled order with a cursor.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List
+from array import array
 
 
 class AddressStream:
@@ -77,12 +84,35 @@ class RandomStream(AddressStream):
         self._rng = random.Random(self.seed)
 
 
+def _shuffled_slots(slots: int, seed: int) -> array[int]:
+    """``random.Random(seed).shuffle(list(range(slots)))``, packed.
+
+    CPython's ``shuffle`` (3.9-3.12) swaps ``x[i]`` with ``x[j]`` for
+    ``i`` from ``slots - 1`` down to 1, where ``j`` is ``getrandbits(k)``
+    with ``k = (i + 1).bit_length()``, redrawn while ``j > i``.  This
+    loop makes exactly those calls, with ``k`` hoisted over each
+    power-of-two band of ``i``; ``tests/test_addrgen.py`` pins the result
+    against ``shuffle`` itself.
+    """
+    order = array("I", range(slots))
+    getrandbits = random.Random(seed).getrandbits
+    for k in range(slots.bit_length(), 1, -1):
+        # i + 1 spans [2**(k-1), 2**k - 1] in this band.
+        for i in range(min(slots, (1 << k) - 1) - 1, (1 << (k - 1)) - 2, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            order[i], order[j] = order[j], order[i]
+    return order
+
+
 class PointerChaseStream(AddressStream):
     """Walk a seeded random permutation of ``footprint // align`` slots.
 
     Successive addresses are data-dependent in real pointer chasing; the
     synthetic program models that by making the chasing load feed the
-    next iteration's address register.
+    next iteration's address register.  The walk visits every slot once,
+    in shuffled order, before it repeats.
     """
 
     def __init__(self, base: int, footprint: int, align: int = 8,
@@ -93,24 +123,16 @@ class PointerChaseStream(AddressStream):
         self.base = base
         self.align = align
         self.seed = seed
-        rng = random.Random(seed)
-        order = list(range(slots))
-        rng.shuffle(order)
-        # next_slot[i] follows the shuffled cycle, guaranteeing full
-        # coverage before repetition.
-        self._next_slot: List[int] = [0] * slots
-        for i, slot in enumerate(order):
-            self._next_slot[slot] = order[(i + 1) % slots]
-        self._start = order[0]
-        self._current = self._start
+        self._order = _shuffled_slots(slots, seed)
+        self._cursor = 0
 
     def next_address(self) -> int:
-        addr = self.base + self._current * self.align
-        self._current = self._next_slot[self._current]
+        addr = self.base + self._order[self._cursor] * self.align
+        self._cursor = (self._cursor + 1) % len(self._order)
         return addr
 
     def reset(self) -> None:
-        self._current = self._start
+        self._cursor = 0
 
 
 class StackStream(AddressStream):

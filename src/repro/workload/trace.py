@@ -120,27 +120,40 @@ class Trace(Sequence[Instruction]):
 
     @classmethod
     def load(cls, path) -> "Trace":
-        """Read a trace written by :meth:`save`."""
+        """Read a trace written by :meth:`save`.
+
+        Raises :class:`ValueError` naming the file (and, for a truncated
+        body, the record) when the input is not a complete trace.
+        """
         with open(path, "rb") as fh:
-            magic, version, count = _HEADER.unpack(fh.read(_HEADER.size))
+            def read_header(size: int) -> bytes:
+                data = fh.read(size)
+                if len(data) < size:
+                    raise ValueError(f"{path}: truncated header")
+                return data
+
+            magic, version, count = _HEADER.unpack(read_header(_HEADER.size))
             if magic != _MAGIC:
                 raise ValueError(f"{path}: not an .lsqtrace file")
             if version != _VERSION:
                 raise ValueError(f"{path}: unsupported version {version}")
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (n_regions,) = struct.unpack("<H", fh.read(2))
-            cold_regions = [struct.unpack("<QQ", fh.read(16))
+            (name_len,) = struct.unpack("<H", read_header(2))
+            name = read_header(name_len).decode("utf-8")
+            (n_regions,) = struct.unpack("<H", read_header(2))
+            cold_regions = [struct.unpack("<QQ", read_header(16))
                             for _ in range(n_regions)]
-            instructions = []
-            for _ in range(count):
-                (pc, op, dest, s0, s1, s2, addr, size, taken,
-                 target) = _RECORD.unpack(fh.read(_RECORD.size))
-                srcs = tuple(s for s in (s0, s1, s2) if s != NO_REG)
-                instructions.append(Instruction(
-                    pc=pc, op=OpClass(op), dest=dest, srcs=srcs, addr=addr,
-                    size=size, taken=bool(taken), target=target,
-                ))
+            body = fh.read(count * _RECORD.size)
+        if len(body) < count * _RECORD.size:
+            raise ValueError(f"{path}: truncated record "
+                             f"{len(body) // _RECORD.size} of {count}")
+        instructions = []
+        for (pc, op, dest, s0, s1, s2, addr, size, taken,
+             target) in _RECORD.iter_unpack(body):
+            srcs = tuple(s for s in (s0, s1, s2) if s != NO_REG)
+            instructions.append(Instruction(
+                pc=pc, op=OpClass(op), dest=dest, srcs=srcs, addr=addr,
+                size=size, taken=bool(taken), target=target,
+            ))
         return cls(instructions, name=name, cold_regions=cold_regions)
 
 

@@ -26,6 +26,8 @@ import json
 import pytest
 
 from repro import cli
+from repro.workload.trace import Trace
+from tests.conftest import alu
 
 
 def run_cli(argv):
@@ -72,8 +74,17 @@ def test_exit_codes_are_distinct_and_stable():
     (["serve", "--max-jobs", "0"], "--max-jobs"),
     # submit: unparsable seed
     (["submit", "--seeds", "banana"], "bad seed"),
+    # run: a truncated / bad-magic .lsqtrace
+    (["run", "{truncated}"], "truncated record"),
+    (["run", "{bad_magic}"], "not an .lsqtrace file"),
 ])
-def test_usage_errors_exit_2_with_stderr(argv, fragment, capsys):
+def test_usage_errors_exit_2_with_stderr(argv, fragment, capsys, tmp_path):
+    files = {"truncated": tmp_path / "cut.lsqtrace",
+             "bad_magic": tmp_path / "bogus.lsqtrace"}
+    Trace([alu(pc=0), alu(pc=4)]).save(files["truncated"])
+    files["truncated"].write_bytes(files["truncated"].read_bytes()[:-1])
+    files["bad_magic"].write_bytes(b"NOPE" + b"\x00" * 64)
+    argv = [arg.format(**files) for arg in argv]
     assert run_cli(argv) == cli.EXIT_USAGE
     captured = capsys.readouterr()
     assert fragment in captured.err

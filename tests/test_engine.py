@@ -16,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import base_machine
+from repro.config import (base_machine, conventional_lsq,
+                          full_techniques_lsq, segmented_lsq, techniques_lsq)
+from repro.harness import engine as engine_module
 from repro.harness.engine import (
     Cell,
     ResultCache,
@@ -274,6 +276,115 @@ class TestParallel:
             self._cells(),
             progress=lambda r, done, total: seen.append((done, total)))
         assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
+
+
+SWEEP_PRESETS = (("conventional-2p", lambda: conventional_lsq(ports=2)),
+                 ("techniques-1p", lambda: techniques_lsq(ports=1)),
+                 ("full-1p", lambda: full_techniques_lsq(ports=1)))
+
+
+def preset_cells(benchmarks, presets=SWEEP_PRESETS, n_instructions=600):
+    return [Cell(benchmark=name,
+                 machine=dataclasses.replace(base_machine(), lsq=make()),
+                 n_instructions=n_instructions, label=label)
+            for name in benchmarks for label, make in presets]
+
+
+@pytest.fixture
+def serial_pools(monkeypatch):
+    """Replace ``multiprocessing.Pool`` in the engine with an in-process
+    stand-in; returns the pools created, each recording its width and
+    the tasks it was given."""
+    created = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            self.processes = processes
+            self.tasks = None
+            created.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            self.tasks = list(tasks)
+            return [fn(task) for task in self.tasks]
+
+    monkeypatch.setattr(engine_module, "Pool", SerialPool)
+    return created
+
+
+class TestSharedTraceTasks:
+    """Cells that share (benchmark, n_instructions, seed) run as one
+    task that generates the trace once."""
+
+    def test_grouped_runs_match_one_cell_runs(self):
+        cells = preset_cells(("gzip", "mcf", "mgrid"))
+        alone = [stats_of(SweepEngine().run_cell(item)) for item in cells]
+        for jobs in (1, 2):
+            results = SweepEngine(jobs=jobs).run_cells(cells)
+            assert [r.cell for r in results] == cells
+            assert [stats_of(r) for r in results] == alone
+
+    def test_one_trace_per_distinct_spec(self, monkeypatch):
+        from repro.workload import ALL_BENCHMARKS
+        calls = []
+        real = engine_module.generate_trace
+
+        def counting(benchmark, **kwargs):
+            calls.append((benchmark, kwargs["n_instructions"],
+                          kwargs["seed"]))
+            return real(benchmark, **kwargs)
+
+        monkeypatch.setattr(engine_module, "generate_trace", counting)
+        cells = preset_cells(ALL_BENCHMARKS, n_instructions=150)
+        results = SweepEngine(jobs=1).run_cells(cells)
+        assert len(results) == 54
+        assert sorted(calls) == sorted(
+            (name, 150, 0) for name in ALL_BENCHMARKS)
+
+    def test_sim_s_charges_each_cell_a_share_of_generation(self,
+                                                           monkeypatch):
+        ticks = iter(range(10, 1000, 10))
+        clock = type("Clock", (), {
+            "perf_counter": staticmethod(lambda: float(next(ticks)))})
+        monkeypatch.setattr(engine_module, "time", clock)
+        outputs = engine_module._simulate_cells(
+            preset_cells(("gzip",), n_instructions=100))
+        # Generation took one 10 s tick, split three ways; each
+        # simulation took one tick of its own.
+        assert [round(output[1], 6) for output in outputs] == \
+            [round(10 + 10 / 3, 6)] * 3
+
+    def test_too_few_groups_are_split_to_fill_the_pool(self, serial_pools):
+        presets = SWEEP_PRESETS + (("segmented-2p",
+                                    lambda: segmented_lsq(ports=2)),)
+        cells = preset_cells(("gzip",), presets=presets,
+                             n_instructions=200)
+        results = SweepEngine(jobs=4).run_cells(cells)
+        pool, = serial_pools
+        assert pool.processes == 4
+        assert [len(task) for task in pool.tasks] == [1, 1, 1, 1]
+        assert [r.cell for r in results] == cells
+
+    def test_groups_become_tasks_in_first_appearance_order(self,
+                                                           serial_pools):
+        cells = preset_cells(("mgrid", "gzip"), n_instructions=200)
+        SweepEngine(jobs=2).run_cells(cells)
+        pool, = serial_pools
+        assert pool.processes == 2
+        assert [[item.label for item in task] for task in pool.tasks] == \
+            [[label for label, __ in SWEEP_PRESETS]] * 2
+        assert [task[0].benchmark for task in pool.tasks] == \
+            ["mgrid", "gzip"]
+
+    def test_a_failing_cell_fails_the_batch(self):
+        bad = dataclasses.replace(cell(), benchmark="nosuchbench")
+        with pytest.raises(KeyError, match="unknown benchmark"):
+            SweepEngine(jobs=1).run_cells([cell(), bad])
 
 
 class TestSweepReport:

@@ -19,9 +19,6 @@ def runner():
 
 
 class TestRunner:
-    def test_trace_cached(self, runner):
-        assert runner.trace("gzip") is runner.trace("gzip")
-
     def test_result_cached(self, runner):
         a = runner.run("gzip", base_machine())
         b = runner.run("gzip", base_machine())

@@ -1,6 +1,7 @@
 """Tests for the synthetic SPEC2K-like trace generator."""
 
 import collections
+import hashlib
 
 import pytest
 from dataclasses import replace
@@ -118,6 +119,33 @@ class TestGeneratedMix:
         for name in ALL_BENCHMARKS:
             trace = generate_trace(name, n_instructions=400)
             assert len(trace) == 400
+
+
+def trace_digest(trace):
+    """SHA-256 over the trace's name, cold regions and every field of
+    every instruction."""
+    digest = hashlib.sha256(f"{trace.name}|{trace.cold_regions}\n".encode())
+    for inst in trace:
+        digest.update(f"{inst.pc},{int(inst.op)},{inst.dest},{inst.srcs},"
+                      f"{inst.addr},{inst.size},{int(inst.taken)},"
+                      f"{inst.target}\n".encode())
+    return digest.hexdigest()
+
+
+class TestPinnedTraces:
+    """mcf's trace runs the pointer-chase path, which no golden stats
+    digest covers (those cells are gcc, mgrid and wupwise).  The digests
+    were recorded from the original list-shuffle generator."""
+
+    @pytest.mark.parametrize("seed, expected", [
+        (0, "69f80cee1d335a0f177b06213043948b"
+            "a0ba7a6926dff07d71cac8a478ea3c93"),
+        (1, "9d9bd5bde238709bbce2237a69297c68"
+            "eb5419640bd857f271c8ca16538177cd"),
+    ])
+    def test_mcf_trace_is_pinned(self, seed, expected):
+        trace = generate_trace("mcf", n_instructions=3000, seed=seed)
+        assert trace_digest(trace) == expected
 
 
 class TestForwardingPairs:

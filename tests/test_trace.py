@@ -90,6 +90,19 @@ class TestSerialisation:
         with pytest.raises(ValueError, match="not an .lsqtrace"):
             Trace.load(path)
 
+    def test_rejects_truncated_file(self, tmp_path):
+        path = tmp_path / "cut.lsqtrace"
+        Trace([alu(pc=4 * i) for i in range(3)], name="cut").save(path)
+        whole = path.read_bytes()
+        path.write_bytes(whole[:-5])
+        with pytest.raises(ValueError,
+                           match=r"cut\.lsqtrace: truncated record 2 of 3"):
+            Trace.load(path)
+        path.write_bytes(whole[:5])
+        with pytest.raises(ValueError,
+                           match=r"cut\.lsqtrace: truncated header"):
+            Trace.load(path)
+
     def test_rejects_too_many_sources(self, tmp_path):
         trace = Trace([Instruction(pc=0, op=OpClass.INT_ALU, dest=1,
                                    srcs=(1, 2, 3, 4))])
