@@ -16,8 +16,6 @@ from dataclasses import replace
 
 from repro.config import (
     ContentionPolicy,
-    LsqConfig,
-    PredictorMode,
     base_machine,
     conventional_lsq,
     segmented_lsq,
@@ -25,78 +23,90 @@ from repro.config import (
 )
 from repro.stats.report import format_table
 
-from conftest import emit
+from conftest import SUBSET, cell, emit, lookup
+
+BASE = replace(base_machine(), lsq=conventional_lsq(ports=2))
 
 
-def _speedups(runner, lsq_variants, machine_for=None):
-    base = runner.run_lsq_suite(conventional_lsq(ports=2))
+def _lsq_variants(variants):
+    return {label: replace(base_machine(), lsq=lsq)
+            for label, lsq in variants.items()}
+
+
+def _counter_bits_machine(bits):
+    machine = base_machine()
+    return replace(machine, lsq=techniques_lsq(ports=1),
+                   store_sets=replace(machine.store_sets, counter_bits=bits))
+
+
+#: Each ablation's variants: column label -> machine.
+DETECTION_POINT = _lsq_variants({
+    "commit (paper)": techniques_lsq(ports=1),
+    "execute": replace(techniques_lsq(ports=1), detect_at_commit=False),
+})
+COUNTER_BITS = {f"{bits}-bit": _counter_bits_machine(bits)
+                for bits in (1, 2, 3, 4)}
+EARLY_SCHEDULING = _lsq_variants({
+    "head-only (paper)": segmented_lsq(ports=2),
+    "always-early": replace(segmented_lsq(ports=2),
+                            early_scheduling_head_only=False),
+})
+CONTENTION_POLICY = _lsq_variants({
+    "squash (paper)": replace(segmented_lsq(ports=1),
+                              contention=ContentionPolicy.SQUASH),
+    "stall": replace(segmented_lsq(ports=1),
+                     contention=ContentionPolicy.STALL),
+})
+
+CELLS = [cell(bench, machine) for bench in SUBSET
+         for variants in (DETECTION_POINT, COUNTER_BITS, EARLY_SCHEDULING,
+                          CONTENTION_POLICY)
+         for machine in [BASE, *variants.values()]]
+
+
+def _speedups(results, variants):
     rows = []
-    for bench in runner.benchmarks:
+    for bench in SUBSET:
+        base_ipc = lookup(results, bench, BASE).ipc
         row = [bench]
-        for label, variant in lsq_variants.items():
-            if machine_for is not None:
-                machine = machine_for(variant)
-            else:
-                machine = replace(base_machine(), lsq=variant)
-            ipc = runner.run(bench, machine).ipc
-            row.append(f"{(ipc / base[bench].ipc - 1) * 100:+.1f}%")
+        for machine in variants.values():
+            ipc = lookup(results, bench, machine).ipc
+            row.append(f"{(ipc / base_ipc - 1) * 100:+.1f}%")
         rows.append(row)
-    return rows, list(lsq_variants)
+    return rows, list(variants)
 
 
-def test_ablation_detection_point(benchmark, ablation_runner):
-    variants = {
-        "commit (paper)": techniques_lsq(ports=1),
-        "execute": replace(techniques_lsq(ports=1), detect_at_commit=False),
-    }
+def test_ablation_detection_point(benchmark, results):
     rows, labels = benchmark.pedantic(
-        lambda: _speedups(ablation_runner, variants), rounds=1, iterations=1)
+        lambda: _speedups(results, DETECTION_POINT), rounds=1, iterations=1)
     emit("ablation_detection_point", format_table(
         ["bench"] + labels, rows,
         title="Ablation: store-load violation detection point "
               "(1-ported pair predictor + load buffer)"))
 
 
-def test_ablation_counter_bits(benchmark, ablation_runner):
-    def machine_for(bits):
-        machine = base_machine()
-        return replace(machine, lsq=techniques_lsq(ports=1),
-                       store_sets=replace(machine.store_sets,
-                                          counter_bits=bits))
-
-    variants = {f"{bits}-bit": bits for bits in (1, 2, 3, 4)}
+def test_ablation_counter_bits(benchmark, results):
     rows, labels = benchmark.pedantic(
-        lambda: _speedups(ablation_runner, variants, machine_for),
-        rounds=1, iterations=1)
+        lambda: _speedups(results, COUNTER_BITS), rounds=1, iterations=1)
     emit("ablation_counter_bits", format_table(
         ["bench"] + labels, rows,
         title="Ablation: LFST in-flight-store counter width "
               "(paper: 3 bits suffice)"))
 
 
-def test_ablation_early_scheduling(benchmark, ablation_runner):
-    variants = {
-        "head-only (paper)": segmented_lsq(ports=2),
-        "always-early": replace(segmented_lsq(ports=2),
-                                early_scheduling_head_only=False),
-    }
+def test_ablation_early_scheduling(benchmark, results):
     rows, labels = benchmark.pedantic(
-        lambda: _speedups(ablation_runner, variants), rounds=1, iterations=1)
+        lambda: _speedups(results, EARLY_SCHEDULING), rounds=1, iterations=1)
     emit("ablation_early_scheduling", format_table(
         ["bench"] + labels, rows,
         title="Ablation: early scheduling of load dependents in the "
               "segmented LSQ"))
 
 
-def test_ablation_contention_policy(benchmark, ablation_runner):
-    variants = {
-        "squash (paper)": replace(segmented_lsq(ports=1),
-                                  contention=ContentionPolicy.SQUASH),
-        "stall": replace(segmented_lsq(ports=1),
-                         contention=ContentionPolicy.STALL),
-    }
+def test_ablation_contention_policy(benchmark, results):
     rows, labels = benchmark.pedantic(
-        lambda: _speedups(ablation_runner, variants), rounds=1, iterations=1)
+        lambda: _speedups(results, CONTENTION_POLICY), rounds=1,
+        iterations=1)
     emit("ablation_contention_policy", format_table(
         ["bench"] + labels, rows,
         title="Ablation: pipelined-search contention resolution "

@@ -19,7 +19,7 @@ from repro.config import (
 from repro.core.complexity import pareto_row, search_energy
 from repro.stats.report import format_table, geometric_mean
 
-from conftest import emit
+from conftest import SUITE, cell, emit, lookup
 
 DESIGNS = {
     "2p-conventional": conventional_lsq(ports=2),
@@ -31,21 +31,29 @@ DESIGNS = {
     "1p-all-techniques": full_techniques_lsq(ports=1),
 }
 
+CELLS = [cell(bench, replace(base_machine(), lsq=lsq))
+         for lsq in DESIGNS.values() for bench in SUITE]
 
-def _pareto(runner):
+
+def _suite(results, lsq):
+    machine = replace(base_machine(), lsq=lsq)
+    return {bench: lookup(results, bench, machine) for bench in SUITE}
+
+
+def _pareto(results):
     base_lsq = DESIGNS["2p-conventional"]
-    base = runner.run_lsq_suite(base_lsq)
+    base = _suite(results, base_lsq)
     rows = []
     for label, lsq in DESIGNS.items():
-        results = runner.run_lsq_suite(lsq)
+        suite = _suite(results, lsq)
         ipc_ratio = geometric_mean(
-            [results[b].ipc / base[b].ipc for b in results])
+            [suite[b].ipc / base[b].ipc for b in suite])
         energy_ratio = geometric_mean(
-            [search_energy(results[b].stats, lsq)
+            [search_energy(suite[b].stats, lsq)
              / max(search_energy(base[b].stats, base_lsq), 1e-9)
-             for b in results])
-        sample = next(iter(results))
-        row = pareto_row(label, results[sample].stats, lsq,
+             for b in suite])
+        sample = next(iter(suite))
+        row = pareto_row(label, suite[sample].stats, lsq,
                          base[sample].stats, base_lsq)
         row["speedup"] = f"{(ipc_ratio - 1) * 100:+.1f}%"
         row["search-energy"] = f"{energy_ratio:.2f}x"
@@ -53,8 +61,8 @@ def _pareto(runner):
     return rows
 
 
-def test_complexity_pareto(benchmark, runner):
-    rows = benchmark.pedantic(lambda: _pareto(runner), rounds=1,
+def test_complexity_pareto(benchmark, results):
+    rows = benchmark.pedantic(lambda: _pareto(results), rounds=1,
                               iterations=1)
     headers = list(rows[0])
     emit("extension_complexity_pareto", format_table(

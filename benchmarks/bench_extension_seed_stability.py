@@ -10,32 +10,32 @@ artifact of one particular trace instance.
 from dataclasses import replace
 
 from repro.config import base_machine, conventional_lsq, full_techniques_lsq
-from repro.harness.experiment import confidence
-from repro.stats.report import format_table
+from repro.stats.report import confidence, format_table
 
-from conftest import emit
+from conftest import SUBSET, cell, emit, lookup
 
-BENCHES = ("gzip", "vortex", "mgrid", "equake")
 SEEDS = (0, 1, 2)
+BASE = replace(base_machine(), lsq=conventional_lsq(ports=2))
+TECHNIQUES = replace(base_machine(), lsq=full_techniques_lsq(ports=1))
+
+CELLS = [cell(bench, machine, seed) for bench in SUBSET
+         for machine in (BASE, TECHNIQUES) for seed in SEEDS]
 
 
-def _sweep(runner):
+def _sweep(results):
     rows = []
-    base_machine_cfg = replace(base_machine(), lsq=conventional_lsq(ports=2))
-    tech_machine = replace(base_machine(), lsq=full_techniques_lsq(ports=1))
-    for bench in BENCHES:
-        base_runs = runner.run_seeds(bench, base_machine_cfg, SEEDS)
-        tech_runs = runner.run_seeds(bench, tech_machine, SEEDS)
-        speedups = [t.ipc / b.ipc - 1
-                    for t, b in zip(tech_runs, base_runs)]
+    for bench in SUBSET:
+        speedups = [lookup(results, bench, TECHNIQUES, seed).ipc
+                    / lookup(results, bench, BASE, seed).ipc - 1
+                    for seed in SEEDS]
         mean, spread = confidence(speedups)
         rows.append([bench, f"{mean * 100:+.1f}%", f"+/-{spread * 100:.1f}pt",
                      " ".join(f"{s * 100:+.0f}" for s in speedups)])
     return rows
 
 
-def test_seed_stability(benchmark, ablation_runner):
-    rows = benchmark.pedantic(lambda: _sweep(ablation_runner), rounds=1,
+def test_seed_stability(benchmark, results):
+    rows = benchmark.pedantic(lambda: _sweep(results), rounds=1,
                               iterations=1)
     emit("extension_seed_stability", format_table(
         ["bench", "mean speedup", "spread", "per-seed"], rows,

@@ -14,7 +14,7 @@ from dataclasses import replace
 from repro.config import LsqConfig, base_machine, conventional_lsq
 from repro.stats.report import format_table
 
-from conftest import emit
+from conftest import SUBSET, cell, emit, lookup
 
 CONFIGS = {
     "split-2p": conventional_lsq(ports=2),
@@ -23,22 +23,27 @@ CONFIGS = {
     "unified-1p": LsqConfig(unified_queue=True, search_ports=1),
     "unified-4p": LsqConfig(unified_queue=True, search_ports=4),
 }
+MACHINES = {label: replace(base_machine(), lsq=lsq)
+            for label, lsq in CONFIGS.items()}
+
+CELLS = [cell(bench, machine) for bench in SUBSET
+         for machine in MACHINES.values()]
 
 
-def _sweep(runner):
-    base = runner.run_lsq_suite(CONFIGS["split-2p"])
+def _sweep(results):
     rows = []
-    for bench in runner.benchmarks:
+    for bench in SUBSET:
+        base_ipc = lookup(results, bench, MACHINES["split-2p"]).ipc
         row = [bench]
-        for lsq in CONFIGS.values():
-            ipc = runner.run(bench, replace(base_machine(), lsq=lsq)).ipc
-            row.append(f"{(ipc / base[bench].ipc - 1) * 100:+.1f}%")
+        for machine in MACHINES.values():
+            ipc = lookup(results, bench, machine).ipc
+            row.append(f"{(ipc / base_ipc - 1) * 100:+.1f}%")
         rows.append(row)
     return rows
 
 
-def test_unified_vs_split(benchmark, ablation_runner):
-    rows = benchmark.pedantic(lambda: _sweep(ablation_runner), rounds=1,
+def test_unified_vs_split(benchmark, results):
+    rows = benchmark.pedantic(lambda: _sweep(results), rounds=1,
                               iterations=1)
     emit("extension_unified_queue", format_table(
         ["bench"] + list(CONFIGS), rows,

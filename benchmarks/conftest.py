@@ -1,12 +1,18 @@
 """Shared fixtures for the reproduction benchmarks.
 
-Every bench regenerates one of the paper's tables or figures.  A single
-session-scoped :class:`ExperimentRunner` is shared so configurations
-that appear in several figures (e.g. the 2-ported conventional base) are
-simulated once — and all execution goes through the sweep engine
+Every bench regenerates one of the paper's tables or figures.  Each
+bench module declares the cells it reads as a module-level ``CELLS``
+list; the session-scoped :func:`results` fixture takes the union over
+the modules of the selected tests and runs it as ONE engine batch
+(:func:`repro.harness.figures.run_batch`).  So a configuration several
+benches share (e.g. the 2-ported conventional base) is simulated once,
+each benchmark's trace is generated once, ``pytest benchmarks/`` runs a
+single batch, and one bench file run alone simulates only its own
+cells.  All execution goes through the sweep engine
 (:mod:`repro.harness.engine`), so results also persist in the on-disk
 cache across bench invocations and fan out over worker processes when
-``REPRO_BENCH_JOBS`` > 1.
+``REPRO_BENCH_JOBS`` > 1.  The MSHR and ordering-schemes benches vary
+what a cell cannot express and call ``simulate`` directly.
 
 Results are printed (run with ``-s`` to see them live) and written to
 ``benchmarks/results/<name>.txt``.
@@ -16,8 +22,8 @@ Environment knobs:
 ``REPRO_BENCH_INSTRUCTIONS``
     dynamic instructions per benchmark trace (default 6000).
 ``REPRO_BENCH_SUBSET``
-    comma-separated benchmark names to restrict the suite (default: all
-    eighteen applications).
+    comma-separated benchmark names to restrict the figure suite
+    (default: all eighteen applications).
 ``REPRO_BENCH_JOBS``
     worker processes for sweep fan-out (default 1 = serial).
 ``REPRO_BENCH_CACHE``
@@ -31,8 +37,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.engine import ResultCache, SweepEngine
-from repro.harness.experiment import ExperimentRunner
+from repro.harness.engine import Cell, ResultCache, SweepEngine
+from repro.harness.figures import default_instructions, run_batch
 from repro.workload import ALL_BENCHMARKS
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -45,6 +51,20 @@ def _selected_benchmarks():
     return ALL_BENCHMARKS
 
 
+#: The benchmarks the figure benches sweep.
+SUITE = _selected_benchmarks()
+#: The smaller suite of the ablation and extension benches.
+SUBSET = ("gzip", "vortex", "mgrid", "equake")
+#: Dynamic instructions per trace.
+N = default_instructions()
+
+
+def cell(benchmark, machine, seed=0):
+    """The bench suite's cell for one (benchmark, machine, seed) point."""
+    return Cell(benchmark=benchmark, machine=machine, seed=seed,
+                n_instructions=N)
+
+
 def _engine_from_env():
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
     cache = None
@@ -54,21 +74,20 @@ def _engine_from_env():
 
 
 @pytest.fixture(scope="session")
-def engine():
-    """One engine per session: shared pool width, cache and counters."""
-    return _engine_from_env()
+def results(request):
+    """Every cell the selected benches declare, run as one batch and
+    keyed by ``Cell.digest()``."""
+    modules = dict.fromkeys(getattr(item, "module", None)
+                            for item in request.session.items)
+    cells = [declared for module in modules
+             for declared in getattr(module, "CELLS", ())]
+    return run_batch(cells, _engine_from_env())
 
 
-@pytest.fixture(scope="session")
-def runner(engine):
-    return ExperimentRunner(benchmarks=_selected_benchmarks(), engine=engine)
-
-
-@pytest.fixture(scope="session")
-def ablation_runner(engine):
-    """Smaller suite for the ablation benches."""
-    return ExperimentRunner(benchmarks=("gzip", "vortex", "mgrid", "equake"),
-                            engine=engine)
+def lookup(results, benchmark, machine, seed=0):
+    """The simulation result of one declared point of the session
+    batch."""
+    return results[cell(benchmark, machine, seed).digest()].result
 
 
 def emit(result_name: str, text: str) -> None:

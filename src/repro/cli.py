@@ -175,7 +175,7 @@ def _engine(args):
 
 
 def cmd_figure(args) -> None:
-    from repro.harness import ExperimentRunner, figures
+    from repro.harness import figures
     from repro.harness.plots import bar_chart
     names = (list(figures.ALL_EXPERIMENTS) if args.name == "all"
              else [args.name])
@@ -185,11 +185,12 @@ def cmd_figure(args) -> None:
         _usage_error(f"unknown figure {unknown[0]!r}; choose from: "
                      f"{', '.join(sorted(figures.ALL_EXPERIMENTS))} "
                      f"or 'all'")
-    runner = ExperimentRunner(n_instructions=args.instructions,
-                              engine=_engine(args))
+    results = figures.run_experiments(
+        names, ALL_BENCHMARKS,
+        args.instructions or figures.default_instructions(), _engine(args))
     for name in names:
-        result = figures.ALL_EXPERIMENTS[name](runner)
-        print(bar_chart(result) if args.chart else result.format())
+        print(bar_chart(results[name]) if args.chart
+              else results[name].format())
         print()
 
 
@@ -523,7 +524,7 @@ def cmd_bench(args) -> None:
     import time
 
     from repro.harness.engine import Cell, sweep_report
-    from repro.harness.experiment import default_instructions
+    from repro.harness.figures import default_instructions
 
     if args.output is None:
         args.output = ("BENCH_core.json" if args.baseline
@@ -984,7 +985,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     figure = sub.add_parser("figure", help="regenerate a paper figure")
     figure.add_argument("name", help="fig6..fig12, table2..table6, or 'all'")
-    figure.add_argument("-n", "--instructions", type=int, default=6000)
+    figure.add_argument("-n", "--instructions", type=int, default=0,
+                        help="instructions per trace (default: "
+                             "$REPRO_BENCH_INSTRUCTIONS or 6000)")
     figure.add_argument("--chart", action="store_true",
                         help="render as an ASCII bar chart")
     add_engine_options(figure)

@@ -1,10 +1,11 @@
 """Experiment harness: regenerate every table and figure of the paper.
 
 :mod:`repro.harness.engine` provides the parallel, disk-cached sweep
-engine; :mod:`repro.harness.experiment` the cached runner built on it;
-:mod:`repro.harness.figures` defines one entry point per figure and
-table of the evaluation (Section 4), each returning a structured result
-with a ``format()`` text rendering that mirrors the paper's rows/series.
+engine; :mod:`repro.harness.figures` declares each figure and table of
+the evaluation (Section 4) as the machines behind its columns plus a
+render to a structured result with a ``format()`` text rendering that
+mirrors the paper's rows/series, and runs any set of them as one engine
+batch.
 """
 
 from repro.harness.engine import (
@@ -15,22 +16,16 @@ from repro.harness.engine import (
     SweepEngine,
     sweep_report,
 )
-from repro.harness.experiment import (
-    ExperimentRunner,
-    default_instructions,
-    default_runner,
-)
 from repro.harness import figures
+from repro.harness.figures import default_instructions
 
 __all__ = [
     "Cell",
     "CellResult",
-    "ExperimentRunner",
     "ReportBackendMismatch",
     "ResultCache",
     "SweepEngine",
     "default_instructions",
-    "default_runner",
     "figures",
     "sweep_report",
 ]

@@ -1,38 +1,49 @@
-"""One entry point per table and figure of the paper's evaluation.
+"""The paper's evaluation (Section 4) as one declared grid.
 
-Every function takes an :class:`~repro.harness.experiment.ExperimentRunner`
-and returns an :class:`ExperimentResult` whose rows mirror the paper's
-X axis (the benchmarks, INT then FP) and whose columns mirror the bars
-or series of the original figure.  ``result.format()`` renders the
-plain-text equivalent that the benchmark harness prints.
+Each table and figure is an :class:`Experiment`: the machine behind each
+of its columns, and a pure render from their results to an
+:class:`ExperimentResult` whose rows mirror the paper's X axis (the
+benchmarks, INT then FP) and whose columns mirror the bars or series of
+the original figure.  ``result.format()`` renders the plain-text
+equivalent that the benchmark harness prints.
+
+:func:`run_experiments` runs any set of experiments as one
+:meth:`~repro.harness.engine.SweepEngine.run_cells` batch over
+benchmarks x distinct machines: a machine several experiments declare
+(the 2-ported conventional base, say) is simulated once, and the engine
+generates each benchmark's trace once for all of its machines.  The
+engine's disk cache is the only result cache.
 
 Mapping (see DESIGN.md for the full index):
 
 ========  ==================================================
-Table 2   :func:`table2_base_ipc`
-Figure 6  :func:`fig6_sq_bandwidth`
-Figure 7  :func:`fig7_sq_speedup`
-Table 3   :func:`table3_predictor_accuracy`
-Figure 8  :func:`fig8_lq_bandwidth`
-Table 4   :func:`table4_ooo_loads`
-Figure 9  :func:`fig9_load_buffer_speedup`
-Figure 10 :func:`fig10_combined_ports`
-Figure 11 :func:`fig11_segmentation`
-Table 5   :func:`table5_occupancy`
-Table 6   :func:`table6_segment_distribution`
-Figure 12 :func:`fig12_all_techniques`
+Table 2   :data:`table2_base_ipc`
+Figure 6  :data:`fig6_sq_bandwidth`
+Figure 7  :data:`fig7_sq_speedup`
+Table 3   :data:`table3_predictor_accuracy`
+Figure 8  :data:`fig8_lq_bandwidth`
+Table 4   :data:`table4_ooo_loads`
+Figure 9  :data:`fig9_load_buffer_speedup`
+Figure 10 :data:`fig10_combined_ports`
+Figure 11 :data:`fig11_segmentation`
+Table 5   :data:`table5_occupancy`
+Table 6   :data:`table6_segment_distribution`
+Figure 12 :data:`fig12_all_techniques`
 ========  ==================================================
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+import os
+from dataclasses import dataclass, replace
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.config import (
     AllocationPolicy,
     LoadQueueSearchMode,
     LsqConfig,
+    MachineConfig,
     PredictorMode,
     base_machine,
     conventional_lsq,
@@ -41,9 +52,25 @@ from repro.config import (
     segmented_lsq,
     techniques_lsq,
 )
-from repro.harness.experiment import ExperimentRunner
+from repro.harness.engine import Cell, CellResult, SweepEngine
+from repro.pipeline.processor import SimulationResult
 from repro.stats.report import format_table, geometric_mean
-from repro.workload import FP_BENCHMARKS, INT_BENCHMARKS
+from repro.workload import FP_BENCHMARKS, INT_BENCHMARKS, profile_for
+
+
+def default_instructions() -> int:
+    """Per-trace dynamic instruction count: the current value of the
+    ``REPRO_BENCH_INSTRUCTIONS`` environment variable, default 6000 —
+    long enough for steady-state behaviour with warmed caches and
+    predictors, short enough that the whole suite runs in about a minute
+    of pure-Python simulation."""
+    return int(os.environ.get("REPRO_BENCH_INSTRUCTIONS", "6000"))
+
+
+#: What a render reads: column label -> benchmark -> result.
+Grid = Dict[str, Dict[str, SimulationResult]]
+#: Per-benchmark table values: benchmark -> column -> value.
+Values = Dict[str, Dict[str, float]]
 
 
 @dataclass
@@ -68,19 +95,86 @@ class ExperimentResult:
                 if row[0] not in averages}
 
 
-def _suite_rows(values: Dict[str, Dict[str, float]], columns: Sequence[str],
+@dataclass(frozen=True)
+class Experiment:
+    """One table or figure, declared as data: the machine behind each
+    column (base columns included) and a pure render over their
+    results."""
+
+    columns: Dict[str, MachineConfig]
+    render: Callable[[Grid], ExperimentResult]
+
+    def cells(self, benchmarks: Sequence[str],
+              n_instructions: int) -> List[Cell]:
+        """Every column's machine on every benchmark."""
+        return [Cell(benchmark=bench, machine=machine,
+                     n_instructions=n_instructions, label=label)
+                for label, machine in self.columns.items()
+                for bench in benchmarks]
+
+    def from_batch(self, results: Mapping[str, CellResult],
+                   benchmarks: Sequence[str],
+                   n_instructions: int) -> ExperimentResult:
+        """Render from a batch's results, keyed by :meth:`Cell.digest`."""
+        grid: Grid = {label: {} for label in self.columns}
+        for cell in self.cells(benchmarks, n_instructions):
+            grid[cell.label][cell.benchmark] = results[cell.digest()].result
+        return self.render(grid)
+
+
+def _experiment(columns: Dict[str, MachineConfig]
+                ) -> Callable[[Callable[[Grid], ExperimentResult]],
+                              Experiment]:
+    """Declare the decorated render as an experiment over ``columns``."""
+    return lambda render: Experiment(columns, render)
+
+
+def run_batch(cells: Iterable[Cell],
+              engine: SweepEngine) -> Dict[str, CellResult]:
+    """Run ``cells`` as one engine batch, each distinct cell once.
+
+    Cells are deduplicated by :meth:`Cell.digest` (experiments share
+    machines), so the engine sees every point of the grid exactly once
+    and can group it with the other cells of its trace.  Results come
+    back keyed by digest.
+    """
+    unique: Dict[str, Cell] = {}
+    for cell in cells:
+        unique.setdefault(cell.digest(), cell)
+    return dict(zip(unique, engine.run_cells(
+        [cell for __, cell in unique.items()])))
+
+
+def run_experiments(names: Sequence[str], benchmarks: Sequence[str],
+                    n_instructions: int,
+                    engine: SweepEngine) -> Dict[str, ExperimentResult]:
+    """Run the experiments ``names`` over ``benchmarks`` as one batch
+    (:func:`run_batch`) and render each."""
+    experiments = {name: ALL_EXPERIMENTS[name] for name in names}
+    results = run_batch(
+        [cell for __, experiment in experiments.items()
+         for cell in experiment.cells(benchmarks, n_instructions)], engine)
+    return {name: experiment.from_batch(results, benchmarks, n_instructions)
+            for name, experiment in experiments.items()}
+
+
+def _suite_rows(values: Values, columns: Sequence[str],
                 fmt: Callable[[float], str] = lambda v: f"{v:.3f}",
                 average: str = "geomean") -> List[List]:
-    """Assemble per-benchmark rows plus Int.Avg / Fp.Avg rows."""
+    """Assemble per-benchmark rows plus Int.Avg / Fp.Avg rows.  A group
+    with no member among ``values`` gets no average row."""
     rows: List[List] = []
     for name in list(INT_BENCHMARKS) + list(FP_BENCHMARKS):
         if name not in values:
             continue
         rows.append([name] + [fmt(values[name][c]) for c in columns])
     for label, names in [("Int.Avg", INT_BENCHMARKS), ("Fp.Avg", FP_BENCHMARKS)]:
+        members = [n for n in names if n in values]
+        if not members:
+            continue
         row = [label]
         for c in columns:
-            series = [values[n][c] for n in names if n in values]
+            series = [values[n][c] for n in members]
             if average == "geomean":
                 row.append(fmt(geometric_mean([max(v, 1e-9) for v in series])))
             else:
@@ -89,25 +183,52 @@ def _suite_rows(values: Dict[str, Dict[str, float]], columns: Sequence[str],
     return rows
 
 
-def _pct(v: float) -> str:
-    return f"{v * 100:+.1f}%"
+def _over_base(grid: Grid) -> Dict[str, Tuple[str, str]]:
+    """Every column but ``"base"``, each paired with ``"base"``."""
+    return {label: (label, "base") for label in grid if label != "base"}
+
+
+def _relative(grid: Grid, pairs: Dict[str, Tuple[str, str]],
+              metric: Callable[[SimulationResult], float] = attrgetter("ipc"),
+              floor: float = 0.0) -> Values:
+    """Per benchmark, each label's ``metric(test) / metric(base)`` over
+    its (test column, base column) pair.  The denominator is at least
+    ``floor`` (1 for event counts, which can be zero)."""
+    values: Values = {}
+    for label, (test, base) in pairs.items():
+        for bench, base_result in grid[base].items():
+            values.setdefault(bench, {})[label] = (
+                metric(grid[test][bench]) / max(metric(base_result), floor))
+    return values
+
+
+def _gain(ratio: float) -> str:
+    return f"{(ratio - 1.0) * 100:+.1f}%"
 
 
 def _ratio(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _on_base(lsq: LsqConfig) -> MachineConfig:
+    """The Table 1 base machine with its LSQ replaced by ``lsq``."""
+    return replace(base_machine(), lsq=lsq)
+
+
+#: The 2-ported conventional LSQ every LSQ figure is measured against.
+_CONVENTIONAL_2P = _on_base(conventional_lsq(ports=2))
+
+
 # ---------------------------------------------------------------------------
 # Table 2 — base IPCs
 # ---------------------------------------------------------------------------
 
-def table2_base_ipc(runner: ExperimentRunner) -> ExperimentResult:
+@_experiment({"base": base_machine()})
+def table2_base_ipc(grid: Grid) -> ExperimentResult:
     """Applications and their base IPCs (Table 2)."""
-    from repro.workload import profile_for
-    results = runner.run_suite(base_machine())
     values = {name: {"measured": res.ipc,
                      "paper": profile_for(name).base_ipc}
-              for name, res in results.items()}
+              for name, res in grid["base"].items()}
     rows = _suite_rows(values, ["measured", "paper"],
                        fmt=lambda v: f"{v:.2f}", average="mean")
     return ExperimentResult(
@@ -127,18 +248,12 @@ def table2_base_ipc(runner: ExperimentRunner) -> ExperimentResult:
 PREDICTOR_CLEAR_INTERVAL = 2048
 
 
-def _predictor_machine(mode: PredictorMode):
-    from dataclasses import replace
-    machine = base_machine()
-    return replace(
-        machine,
-        lsq=LsqConfig(search_ports=2, predictor=mode),
-        store_sets=replace(machine.store_sets,
-                           clear_interval=PREDICTOR_CLEAR_INTERVAL))
+def _predictor_machine(mode: PredictorMode) -> MachineConfig:
+    machine = _predictor_base_machine()
+    return replace(machine, lsq=LsqConfig(search_ports=2, predictor=mode))
 
 
-def _predictor_base_machine():
-    from dataclasses import replace
+def _predictor_base_machine() -> MachineConfig:
     machine = base_machine()
     return replace(
         machine,
@@ -146,23 +261,21 @@ def _predictor_base_machine():
                            clear_interval=PREDICTOR_CLEAR_INTERVAL))
 
 
-def fig6_sq_bandwidth(runner: ExperimentRunner) -> ExperimentResult:
+_PREDICTOR_COLUMNS = {
+    "base": _predictor_base_machine(),
+    "perfect": _predictor_machine(PredictorMode.PERFECT),
+    "aggressive": _predictor_machine(PredictorMode.AGGRESSIVE),
+    "pair": _predictor_machine(PredictorMode.PAIR),
+}
+
+
+@_experiment(_PREDICTOR_COLUMNS)
+def fig6_sq_bandwidth(grid: Grid) -> ExperimentResult:
     """Figure 6: store-queue search demand, normalised to the base case
     in which every load searches (perfect / aggressive / pair)."""
-    base = runner.run_suite(_predictor_base_machine())
-    columns = {
-        "perfect": runner.run_suite(
-            _predictor_machine(PredictorMode.PERFECT)),
-        "aggressive": runner.run_suite(
-            _predictor_machine(PredictorMode.AGGRESSIVE)),
-        "pair": runner.run_suite(_predictor_machine(PredictorMode.PAIR)),
-    }
-    values: Dict[str, Dict[str, float]] = {}
-    for name, base_res in base.items():
-        denom = max(base_res.stats.sq_searches, 1)
-        values[name] = {label: res[name].stats.sq_searches / denom
-                        for label, res in columns.items()}
-    rows = _suite_rows(values, list(columns), fmt=_ratio)
+    pairs = _over_base(grid)
+    values = _relative(grid, pairs, attrgetter("stats.sq_searches"), floor=1)
+    rows = _suite_rows(values, list(pairs), fmt=_ratio)
     return ExperimentResult(
         name="Figure 6: SQ search demand relative to a conventional store "
              "queue (lower is better; paper avg: perfect 0.14, "
@@ -171,20 +284,11 @@ def fig6_sq_bandwidth(runner: ExperimentRunner) -> ExperimentResult:
         rows=rows)
 
 
-def fig7_sq_speedup(runner: ExperimentRunner) -> ExperimentResult:
+@_experiment(_PREDICTOR_COLUMNS)
+def fig7_sq_speedup(grid: Grid) -> ExperimentResult:
     """Figure 7: speedup of the three predictors over the base case."""
-    base = runner.run_suite(_predictor_base_machine())
-    columns = {
-        "perfect": runner.run_suite(
-            _predictor_machine(PredictorMode.PERFECT)),
-        "aggressive": runner.run_suite(
-            _predictor_machine(PredictorMode.AGGRESSIVE)),
-        "pair": runner.run_suite(_predictor_machine(PredictorMode.PAIR)),
-    }
-    values = {name: {label: res[name].ipc / base[name].ipc
-                     for label, res in columns.items()}
-              for name in base}
-    rows = _suite_rows(values, list(columns), fmt=lambda v: _pct(v - 1.0))
+    pairs = _over_base(grid)
+    rows = _suite_rows(_relative(grid, pairs), list(pairs), fmt=_gain)
     return ExperimentResult(
         name="Figure 7: performance benefit from SQ search reduction "
              "(paper: pair predictor ~+2% avg, up to +7%; aggressive "
@@ -193,11 +297,11 @@ def fig7_sq_speedup(runner: ExperimentRunner) -> ExperimentResult:
         rows=rows)
 
 
-def table3_predictor_accuracy(runner: ExperimentRunner) -> ExperimentResult:
+@_experiment({"pair": _predictor_machine(PredictorMode.PAIR)})
+def table3_predictor_accuracy(grid: Grid) -> ExperimentResult:
     """Table 3: store-load pair predictor accuracy."""
-    results = runner.run_suite(_predictor_machine(PredictorMode.PAIR))
     values = {}
-    for name, res in results.items():
+    for name, res in grid["pair"].items():
         stats = res.stats
         values[name] = {"mispred": stats.predictor_mispredict_rate,
                         "squash": stats.squash_rate}
@@ -223,15 +327,14 @@ def _load_buffer_lsq(entries: int,
                      load_buffer_entries=entries)
 
 
-def fig8_lq_bandwidth(runner: ExperimentRunner) -> ExperimentResult:
+@_experiment({"base": _CONVENTIONAL_2P,
+              "load buffer": _on_base(_load_buffer_lsq(2))})
+def fig8_lq_bandwidth(grid: Grid) -> ExperimentResult:
     """Figure 8: load-queue search demand with a 2-entry load buffer,
     normalised to the conventional load queue."""
-    base = runner.run_lsq_suite(conventional_lsq(ports=2))
-    with_buffer = runner.run_lsq_suite(_load_buffer_lsq(2))
-    values = {name: {"load buffer": with_buffer[name].stats.lq_searches
-                     / max(base[name].stats.lq_searches, 1)}
-              for name in base}
-    rows = _suite_rows(values, ["load buffer"], fmt=_ratio)
+    pairs = _over_base(grid)
+    values = _relative(grid, pairs, attrgetter("stats.lq_searches"), floor=1)
+    rows = _suite_rows(values, list(pairs), fmt=_ratio)
     return ExperimentResult(
         name="Figure 8: LQ search demand with a 2-entry load buffer "
              "relative to a conventional load queue (paper avg: 0.26 int"
@@ -240,13 +343,12 @@ def fig8_lq_bandwidth(runner: ExperimentRunner) -> ExperimentResult:
         rows=rows)
 
 
-def table4_ooo_loads(runner: ExperimentRunner) -> ExperimentResult:
+@_experiment({"base": base_machine()})
+def table4_ooo_loads(grid: Grid) -> ExperimentResult:
     """Table 4: average number of loads issued out of program order."""
-    from repro.workload import profile_for
-    results = runner.run_suite(base_machine())
     values = {name: {"measured": res.stats.avg_ooo_loads,
                      "paper": profile_for(name).ooo_loads}
-              for name, res in results.items()}
+              for name, res in grid["base"].items()}
     rows = _suite_rows(values, ["measured", "paper"],
                        fmt=lambda v: f"{v:.2f}", average="mean")
     return ExperimentResult(
@@ -256,28 +358,25 @@ def table4_ooo_loads(runner: ExperimentRunner) -> ExperimentResult:
         rows=rows)
 
 
-def fig9_load_buffer_speedup(runner: ExperimentRunner) -> ExperimentResult:
+@_experiment({
+    "base": _CONVENTIONAL_2P,
+    "inord-search": _on_base(_load_buffer_lsq(
+        0, LoadQueueSearchMode.IN_ORDER_ALWAYS_SEARCH)),
+    "0-entry": _on_base(_load_buffer_lsq(0, LoadQueueSearchMode.IN_ORDER)),
+    "1-entry": _on_base(_load_buffer_lsq(1)),
+    "2-entry": _on_base(_load_buffer_lsq(2)),
+    "4-entry": _on_base(_load_buffer_lsq(4)),
+})
+def fig9_load_buffer_speedup(grid: Grid) -> ExperimentResult:
     """Figure 9: in-order-issue variants and 1/2/4-entry load buffers
     versus the conventional load queue."""
-    base = runner.run_lsq_suite(conventional_lsq(ports=2))
-    columns = {
-        "inord-search": runner.run_lsq_suite(_load_buffer_lsq(
-            0, LoadQueueSearchMode.IN_ORDER_ALWAYS_SEARCH)),
-        "0-entry": runner.run_lsq_suite(_load_buffer_lsq(
-            0, LoadQueueSearchMode.IN_ORDER)),
-        "1-entry": runner.run_lsq_suite(_load_buffer_lsq(1)),
-        "2-entry": runner.run_lsq_suite(_load_buffer_lsq(2)),
-        "4-entry": runner.run_lsq_suite(_load_buffer_lsq(4)),
-    }
-    values = {name: {label: res[name].ipc / base[name].ipc
-                     for label, res in columns.items()}
-              for name in base}
-    rows = _suite_rows(values, list(columns), fmt=lambda v: _pct(v - 1.0))
+    pairs = _over_base(grid)
+    rows = _suite_rows(_relative(grid, pairs), list(pairs), fmt=_gain)
     return ExperimentResult(
         name="Figure 9: load-buffer performance vs a conventional load "
              "queue (paper: in-order variants lose; 2-entry ~+3% int / "
              "+7% fp; 4-entry ~= infinite)",
-        headers=["bench"] + list(columns),
+        headers=["bench"] + list(pairs),
         rows=rows)
 
 
@@ -285,25 +384,23 @@ def fig9_load_buffer_speedup(runner: ExperimentRunner) -> ExperimentResult:
 # Figure 10 — both bandwidth techniques, port sweep
 # ---------------------------------------------------------------------------
 
-def fig10_combined_ports(runner: ExperimentRunner) -> ExperimentResult:
+@_experiment({
+    "base": _CONVENTIONAL_2P,
+    "1p-conv": _on_base(conventional_lsq(ports=1)),
+    "1p-tech": _on_base(techniques_lsq(ports=1)),
+    "2p-tech": _on_base(techniques_lsq(ports=2)),
+    "4p-conv": _on_base(conventional_lsq(ports=4)),
+})
+def fig10_combined_ports(grid: Grid) -> ExperimentResult:
     """Figure 10: ports sweep with and without the two bandwidth
     techniques, relative to the 2-ported conventional LSQ."""
-    base = runner.run_lsq_suite(conventional_lsq(ports=2))
-    columns = {
-        "1p-conv": runner.run_lsq_suite(conventional_lsq(ports=1)),
-        "1p-tech": runner.run_lsq_suite(techniques_lsq(ports=1)),
-        "2p-tech": runner.run_lsq_suite(techniques_lsq(ports=2)),
-        "4p-conv": runner.run_lsq_suite(conventional_lsq(ports=4)),
-    }
-    values = {name: {label: res[name].ipc / base[name].ipc
-                     for label, res in columns.items()}
-              for name in base}
-    rows = _suite_rows(values, list(columns), fmt=lambda v: _pct(v - 1.0))
+    pairs = _over_base(grid)
+    rows = _suite_rows(_relative(grid, pairs), list(pairs), fmt=_gain)
     return ExperimentResult(
         name="Figure 10: combining the two search-bandwidth reductions "
              "(paper: 1p-conv -24%; 1p-tech +2% int / +7% fp; 2p-tech "
              "~= 4p-conv)",
-        headers=["bench"] + list(columns),
+        headers=["bench"] + list(pairs),
         rows=rows)
 
 
@@ -311,37 +408,34 @@ def fig10_combined_ports(runner: ExperimentRunner) -> ExperimentResult:
 # Figure 11 + Tables 5/6 — segmentation
 # ---------------------------------------------------------------------------
 
-def fig11_segmentation(runner: ExperimentRunner) -> ExperimentResult:
+@_experiment({
+    "base": _CONVENTIONAL_2P,
+    "no-self-circ": _on_base(segmented_lsq(
+        ports=2, allocation=AllocationPolicy.NO_SELF_CIRCULAR)),
+    "self-circ": _on_base(segmented_lsq(ports=2)),
+    "128-flat": _on_base(conventional_lsq(
+        ports=2, lq_entries=128, sq_entries=128)),
+})
+def fig11_segmentation(grid: Grid) -> ExperimentResult:
     """Figure 11: 4x28 segmented LSQ under both allocation policies and
     the unrealistic 128-entry unsegmented LSQ, vs the 32-entry base."""
-    base = runner.run_lsq_suite(conventional_lsq(ports=2))
-    columns = {
-        "no-self-circ": runner.run_lsq_suite(segmented_lsq(
-            ports=2, allocation=AllocationPolicy.NO_SELF_CIRCULAR)),
-        "self-circ": runner.run_lsq_suite(segmented_lsq(ports=2)),
-        "128-flat": runner.run_lsq_suite(conventional_lsq(
-            ports=2, lq_entries=128, sq_entries=128)),
-    }
-    values = {name: {label: res[name].ipc / base[name].ipc
-                     for label, res in columns.items()}
-              for name in base}
-    rows = _suite_rows(values, list(columns), fmt=lambda v: _pct(v - 1.0))
+    pairs = _over_base(grid)
+    rows = _suite_rows(_relative(grid, pairs), list(pairs), fmt=_gain)
     return ExperimentResult(
         name="Figure 11: segmented LSQ vs 32-entry conventional (paper: "
              "no-self-circ 0% int / +16% fp; self-circ +5% int / +19% "
              "fp, beating the 128-entry flat queue)",
-        headers=["bench"] + list(columns),
+        headers=["bench"] + list(pairs),
         rows=rows)
 
 
-def table5_occupancy(runner: ExperimentRunner) -> ExperimentResult:
+@_experiment({"128-entry": _on_base(conventional_lsq(
+    ports=4, lq_entries=128, sq_entries=128))})
+def table5_occupancy(grid: Grid) -> ExperimentResult:
     """Table 5: average LQ/SQ entries *needed* — measured with large
     (128-entry) queues so capacity does not clip the demand."""
-    from repro.workload import profile_for
-    results = runner.run_lsq_suite(conventional_lsq(
-        ports=4, lq_entries=128, sq_entries=128))
     values = {}
-    for name, res in results.items():
+    for name, res in grid["128-entry"].items():
         profile = profile_for(name)
         values[name] = {"lq": res.stats.avg_lq_occupancy,
                         "sq": res.stats.avg_sq_occupancy,
@@ -356,12 +450,12 @@ def table5_occupancy(runner: ExperimentRunner) -> ExperimentResult:
         rows=rows)
 
 
-def table6_segment_distribution(runner: ExperimentRunner) -> ExperimentResult:
+@_experiment({"self-circ": _on_base(segmented_lsq(ports=2))})
+def table6_segment_distribution(grid: Grid) -> ExperimentResult:
     """Table 6: distribution of segments searched per load forwarding
     search, self-circular allocation."""
-    results = runner.run_lsq_suite(segmented_lsq(ports=2))
     values = {}
-    for name, res in results.items():
+    for name, res in grid["self-circ"].items():
         dist = res.stats.segment_search_distribution()
         values[name] = {str(k): dist.get(k, 0.0) for k in (1, 2, 3, 4)}
     rows = _suite_rows(values, ["1", "2", "3", "4"],
@@ -377,23 +471,19 @@ def table6_segment_distribution(runner: ExperimentRunner) -> ExperimentResult:
 # Figure 12 — everything combined, base and scaled processors
 # ---------------------------------------------------------------------------
 
-def fig12_all_techniques(runner: ExperimentRunner) -> ExperimentResult:
+@_experiment({
+    "base-conv": _CONVENTIONAL_2P,
+    "base-all": _on_base(full_techniques_lsq(ports=1)),
+    "scaled-conv": replace(scaled_machine(), lsq=conventional_lsq(ports=2)),
+    "scaled-all": replace(scaled_machine(), lsq=full_techniques_lsq(ports=1)),
+})
+def fig12_all_techniques(grid: Grid) -> ExperimentResult:
     """Figure 12: one-ported LSQ with all three techniques on the base
     and the scaled (12-wide, 96-IQ, 3-cycle L1) processors, each versus
     its own 2-ported conventional configuration."""
-    from dataclasses import replace
-    base_conv = runner.run_lsq_suite(conventional_lsq(ports=2))
-    base_all = runner.run_lsq_suite(full_techniques_lsq(ports=1))
-    scaled_conv = runner.run_suite(
-        replace(scaled_machine(), lsq=conventional_lsq(ports=2)))
-    scaled_all = runner.run_suite(
-        replace(scaled_machine(), lsq=full_techniques_lsq(ports=1)))
-    values = {name: {
-        "base": base_all[name].ipc / base_conv[name].ipc,
-        "scaled": scaled_all[name].ipc / scaled_conv[name].ipc,
-    } for name in base_conv}
-    rows = _suite_rows(values, ["base", "scaled"],
-                       fmt=lambda v: _pct(v - 1.0))
+    pairs = {"base": ("base-all", "base-conv"),
+             "scaled": ("scaled-all", "scaled-conv")}
+    rows = _suite_rows(_relative(grid, pairs), list(pairs), fmt=_gain)
     return ExperimentResult(
         name="Figure 12: 1-ported LSQ with all three techniques vs "
              "2-ported conventional (paper: +6% int / +23% fp on the "
@@ -402,8 +492,9 @@ def fig12_all_techniques(runner: ExperimentRunner) -> ExperimentResult:
         rows=rows)
 
 
-#: Every experiment, for `examples/reproduce_paper.py` and the benches.
-ALL_EXPERIMENTS = {
+#: Every experiment, for ``repro figure``, ``examples/reproduce_paper.py``
+#: and the benches.
+ALL_EXPERIMENTS: Dict[str, Experiment] = {
     "table2": table2_base_ipc,
     "fig6": fig6_sq_bandwidth,
     "fig7": fig7_sq_speedup,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 
 def speedup(test_ipc: float, base_ipc: float) -> float:
@@ -21,6 +21,16 @@ def geometric_mean(values: Iterable[float]) -> float:
     if any(v <= 0 for v in values):
         raise ValueError("geometric mean requires positive values")
     return math.exp(sum(math.log(v) for v in values) / len(values))
+
+
+def confidence(values: List[float]) -> Tuple[float, float]:
+    """(mean, half-range) of a small sample — the spread annotation used
+    by the multi-seed bench."""
+    if not values:
+        raise ValueError("no values")
+    mean = sum(values) / len(values)
+    half_range = (max(values) - min(values)) / 2
+    return mean, half_range
 
 
 def mean_speedup(ratios: Iterable[float]) -> float:

@@ -153,9 +153,9 @@ class TestCli:
 
     def test_figure_command(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SUBSET", "gzip")
-        # ExperimentRunner reads benchmarks at construction; the figure
-        # command builds its own runner with the full suite, so pass a
-        # tiny instruction budget instead and accept the runtime.
+        # The figure command always sweeps the full suite (the subset
+        # variable is the benches'), so pass a tiny instruction budget
+        # instead and accept the runtime.
         cli.main(["figure", "table2", "-n", "300"])
         assert "Table 2" in capsys.readouterr().out
 

@@ -439,21 +439,6 @@ class TestObsCache:
         parallel = SweepEngine(jobs=2).run_cells(cells)
         assert [r.obs for r in serial] == [r.obs for r in parallel]
 
-    def test_runner_keys_separate_traced_and_untraced(self, tmp_path):
-        from repro.harness.experiment import ExperimentRunner
-        engine = SweepEngine(cache=ResultCache(tmp_path))
-        machine = base_machine()
-        plain = ExperimentRunner(n_instructions=600, engine=engine)
-        traced = ExperimentRunner(n_instructions=600, engine=engine,
-                                  obs=ObsConfig())
-        a = plain.run("gzip", machine)
-        b = traced.run("gzip", machine)
-        assert engine.simulated == 2
-        assert dataclasses.asdict(a.stats) == dataclasses.asdict(b.stats)
-        assert plain.obs_summary("gzip", machine) is None
-        summary = traced.obs_summary("gzip", machine)
-        assert summary is not None and summary.cycles == a.stats.cycles
-
 
 class TestProfile:
     def test_profile_cell_returns_hot_functions(self):

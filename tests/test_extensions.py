@@ -5,8 +5,9 @@ import pytest
 from dataclasses import replace
 
 from repro.config import StoreSetConfig, base_machine
-from repro.harness.experiment import ExperimentRunner, confidence
+from repro.harness.engine import Cell, SweepEngine
 from repro.pipeline.processor import simulate
+from repro.stats.report import confidence
 from repro.workload.synthetic import generate_trace
 
 
@@ -53,9 +54,10 @@ class TestStoreStoreOrdering:
 
 
 class TestMultiSeed:
-    def test_run_seeds_returns_one_result_per_seed(self):
-        runner = ExperimentRunner(n_instructions=600)
-        results = runner.run_seeds("gzip", base_machine(), seeds=(0, 1, 2))
+    def test_seeds_give_distinct_but_close_results(self):
+        results = SweepEngine().run_cells(
+            [Cell(benchmark="gzip", machine=base_machine(), seed=seed,
+                  n_instructions=600) for seed in (0, 1, 2)])
         assert len(results) == 3
         ipcs = [r.ipc for r in results]
         assert len(set(ipcs)) > 1          # seeds genuinely differ

@@ -25,7 +25,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import cli
 from repro.config import CoreConfig, base_machine
-from repro.harness.experiment import ExperimentRunner
 from repro.pipeline.dyninst import DynInst
 from repro.pipeline.processor import Processor, simulate
 from repro.validate import (
@@ -141,12 +140,6 @@ def test_random_runs_pass_full_validation(bench, preset, seed):
     assert checker.ok
     assert checker.checked_loads == result.stats.committed_loads
     assert checker.checked_cycles == result.stats.cycles
-
-
-def test_experiment_runner_validate_passthrough():
-    runner = ExperimentRunner(n_instructions=400, validate=True)
-    result = runner.run("bzip", base_machine())
-    assert result.stats.committed == 400
 
 
 # ---------------------------------------------------------------------------
