@@ -22,13 +22,6 @@ it, never manufacture a failure.  IPC comparison is unaffected (it is
 deterministic).  Ignored with a warning when either report lacks a
 calibration.
 
-Normalization corrects for *machine* speed only, never for *engine*
-speed: reports carry a ``backend`` tag (``python``/``fast``; untagged
-legacy reports count as ``python``), and comparing reports with
-different tags is an error (exit 2), not something ``--normalize`` can
-paper over — gate ``BENCH_core.json`` against python runs and
-``BENCH_core_fast.json`` against fast runs.
-
 ``--aggregate-wall`` applies the wall budget to the summed sim time of
 the matched cells instead of each cell individually: short cells
 flicker past any reasonable per-cell budget under ambient load, while
@@ -43,10 +36,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
-from repro.harness.engine import (  # noqa: E402
-    ReportBackendMismatch,
-    diff_reports,
-)
+from repro.harness.engine import diff_reports  # noqa: E402
 
 
 def _calibration(report, which):
@@ -139,14 +129,9 @@ def main(argv=None) -> int:
             print(f"bench-diff: normalized old sim times x{scale:.3f} "
                   f"(calibration {old_cal:.3f}s -> {new_cal:.3f}s)")
 
-    try:
-        problems = diff_reports(reports[0], reports[1],
-                                wall_tol=args.wall_tol,
-                                ipc_tol=args.ipc_tol,
-                                aggregate_wall=args.aggregate_wall)
-    except ReportBackendMismatch as error:
-        print(f"bench-diff: {error}", file=sys.stderr)
-        return 2
+    problems = diff_reports(reports[0], reports[1],
+                            wall_tol=args.wall_tol, ipc_tol=args.ipc_tol,
+                            aggregate_wall=args.aggregate_wall)
     if problems:
         print(f"bench-diff: {len(problems)} regression(s) "
               f"({args.old} -> {args.new}):")

@@ -53,7 +53,6 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STRICT_TARGETS = [
     os.path.join("src", "repro", "core"),
     os.path.join("src", "repro", "config.py"),
-    os.path.join("src", "repro", "fastcore"),
     os.path.join("src", "repro", "harness", "engine.py"),
     os.path.join("src", "repro", "obs"),
     os.path.join("src", "repro", "litmus"),

@@ -50,10 +50,11 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from typing import Dict, List
+from typing import Dict, List, NoReturn
 
 from repro.config import (
-    SIM_BACKENDS,
+    LoadQueueSearchMode,
+    LsqConfig,
     MachineConfig,
     base_machine,
     conventional_lsq,
@@ -87,7 +88,7 @@ EXIT_UNAVAILABLE = 5   # submit: the server cannot be reached
 EXIT_BUSY = 6          # submit: backpressured (429) past all retries
 
 
-def _usage_error(message: str) -> None:
+def _usage_error(message: str) -> NoReturn:
     """Reject bad arguments the way argparse does: message on stderr,
     exit :data:`EXIT_USAGE`.  (``sys.exit(message)`` would exit 1 with
     the text *as* the code — indistinguishable from a validation
@@ -96,15 +97,55 @@ def _usage_error(message: str) -> None:
     sys.exit(EXIT_USAGE)
 
 
+def _instruction_count(text: str) -> int:
+    """The argparse type of every ``-n/--instructions`` flag: an
+    explicit count must be at least 1.  (The ``0`` default of
+    ``figure``, ``bench`` and ``submit`` is not parsed, so it still
+    means "the default".)"""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be at least 1, got {count}")
+    return count
+
+
+def _default_instructions() -> int:
+    """``$REPRO_BENCH_INSTRUCTIONS`` or 6000; a bad value of the
+    variable is a usage error."""
+    from repro.harness.figures import default_instructions
+    try:
+        return default_instructions()
+    except ValueError as error:
+        _usage_error(str(error))
+
+
+def _lsq(preset: str, ports: int) -> LsqConfig:
+    """LSQ ``preset`` with ``ports`` search ports.  Every verb builds its
+    machines' LSQs here, so an out-of-range geometry (``--ports 0``) is
+    a usage error, not a traceback that exits like a failed check.
+
+    ``membar`` (litmus only) is the paper's software-ordering design
+    (Section 2.2): the one preset whose declared ordering model is
+    relaxed."""
+    if preset != "membar" and preset not in PRESETS:
+        _usage_error(f"unknown LSQ preset {preset!r}; choose from: "
+                     f"{', '.join(sorted(PRESETS))}")
+    try:
+        if preset == "membar":
+            return replace(conventional_lsq(ports=ports),
+                           lq_search=LoadQueueSearchMode.MEMBAR)
+        return PRESETS[preset](ports=ports)
+    except ValueError as error:
+        _usage_error(f"bad machine: {error}")
+
+
 def _machine(args) -> MachineConfig:
     core = scaled_machine() if getattr(args, "scaled", False) \
         else base_machine()
-    if args.lsq not in PRESETS:
-        _usage_error(f"unknown LSQ preset {args.lsq!r}; choose from: "
-                     f"{', '.join(sorted(PRESETS))}")
-    lsq = PRESETS[args.lsq](ports=args.ports)
-    return replace(core, lsq=lsq,
-                   backend=getattr(args, "backend", "python"))
+    return replace(core, lsq=_lsq(args.lsq, args.ports))
 
 
 def _load_trace(args) -> Trace:
@@ -187,7 +228,7 @@ def cmd_figure(args) -> None:
                      f"or 'all'")
     results = figures.run_experiments(
         names, ALL_BENCHMARKS,
-        args.instructions or figures.default_instructions(), _engine(args))
+        args.instructions or _default_instructions(), _engine(args))
     for name in names:
         print(bar_chart(results[name]) if args.chart
               else results[name].format())
@@ -232,11 +273,6 @@ def cmd_trace(args) -> None:
         _usage_error("trace: benchmark required (or pass --smoke)")
     trace = _load_trace(args)
     machine = _machine(args)
-    if machine.backend == "fast":
-        print("trace: backend=fast has no observer/pipetrace hooks; "
-              "running this observation under the python engine "
-              "(SimStats are bit-identical either way)", file=sys.stderr)
-        machine = machine.with_backend("python")
     observer = Observer(ObsConfig(sample_interval=args.sample_interval,
                                   event_limit=args.event_limit))
     processor = Processor(machine, obs=observer)
@@ -288,14 +324,6 @@ def cmd_profile(args) -> None:
                      f"from: {', '.join(ALL_BENCHMARKS)} (profile "
                      "regenerates the trace by name, so .lsqtrace files "
                      "are not accepted)")
-    if getattr(args, "backend", "python") == "fast":
-        # Refusing beats profiling the wrong thing: the fast engine's
-        # batched kernels would swamp the model functions the profile
-        # table exists to rank, and a profiled fast run would merge
-        # misleading hot-function rows into the report.
-        _usage_error("profile: backend=fast is not supported — the "
-                     "profile table ranks the python model's functions; "
-                     "rerun with --backend python")
     machine = _machine(args)
     label = f"{args.lsq}-{args.ports}p"
     cell = Cell(benchmark=args.benchmark, machine=machine, seed=args.seed,
@@ -337,10 +365,6 @@ def cmd_pipetrace(args) -> None:
     from repro.pipeline.debug import PipelineTracer
     trace = _load_trace(args)
     machine = _machine(args)
-    if machine.backend == "fast":
-        print("pipetrace: backend=fast has no pipetrace hooks; running "
-              "this diagram under the python engine", file=sys.stderr)
-        machine = machine.with_backend("python")
     processor = Processor(machine)
     processor.tracer = PipelineTracer(limit=args.last + 1)
     processor.run(trace)
@@ -356,18 +380,12 @@ def cmd_check(args) -> None:
     )
     benchmarks = _resolve_benchmarks(args.benchmark)
     presets = sorted(PRESETS) if args.lsq == "all" else [args.lsq]
-    if getattr(args, "backend", "python") == "fast":
-        print("check: validation is checker-attached, which always "
-              "runs the python engine; backend=fast noted but the "
-              "reference engine is used", file=sys.stderr)
     failed = 0
     hung = 0
     for bench in benchmarks:
         trace = generate_trace(bench, n_instructions=args.instructions)
         for preset in presets:
-            machine = replace(base_machine(),
-                              lsq=PRESETS[preset](ports=args.ports),
-                              backend=getattr(args, "backend", "python"))
+            machine = replace(base_machine(), lsq=_lsq(preset, args.ports))
             checker = ValidationChecker()
             try:
                 result = simulate(trace, machine, checker=checker)
@@ -426,17 +444,6 @@ def _parse_seed_range(text: str) -> List[int]:
         sys.exit(EXIT_USAGE)
 
 
-def _litmus_lsq(preset: str, ports: int):
-    """LSQ presets for litmus runs: the global four plus ``membar``,
-    the paper's software-ordering design (Section 2.2) — the one preset
-    whose declared ordering model is relaxed."""
-    if preset == "membar":
-        from repro.config import LoadQueueSearchMode
-        return replace(conventional_lsq(ports=ports),
-                       lq_search=LoadQueueSearchMode.MEMBAR)
-    return PRESETS[preset](ports=ports)
-
-
 def cmd_litmus(args) -> None:
     from repro.config import OrderingModel
     from repro.litmus import SHAPES, run_battery, run_litmus_fault_campaign
@@ -452,12 +459,7 @@ def cmd_litmus(args) -> None:
         seeds = _parse_seed_range(args.seed_range)
     fence_modes = {"off": (False,), "on": (True,),
                    "both": (False, True)}[args.fence]
-    if getattr(args, "backend", "python") == "fast":
-        print("litmus: the battery is checker-attached, which always "
-              "runs the python engine; backend=fast noted but the "
-              "reference engine is used", file=sys.stderr)
-    machine = replace(base_machine(), lsq=_litmus_lsq(args.lsq, args.ports),
-                      backend=getattr(args, "backend", "python"))
+    machine = replace(base_machine(), lsq=_lsq(args.lsq, args.ports))
     model = (None if args.model == "auto"
              else OrderingModel(args.model))
     try:
@@ -524,7 +526,6 @@ def cmd_bench(args) -> None:
     import time
 
     from repro.harness.engine import Cell, sweep_report
-    from repro.harness.figures import default_instructions
 
     if args.output is None:
         args.output = ("BENCH_core.json" if args.baseline
@@ -542,7 +543,7 @@ def cmd_bench(args) -> None:
                    else [p.strip() for p in args.presets.split(",")
                          if p.strip()])
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-        n_instructions = args.instructions or default_instructions()
+        n_instructions = args.instructions or _default_instructions()
     for name in benchmarks:
         if name not in ALL_BENCHMARKS:
             _usage_error(f"unknown benchmark {name!r}; choose from: "
@@ -569,9 +570,7 @@ def cmd_bench(args) -> None:
     for bench in benchmarks:
         for preset in presets:
             ports = args.ports or BENCH_DEFAULT_PORTS.get(preset, 2)
-            machine = replace(base_machine(),
-                              lsq=PRESETS[preset](ports=ports),
-                              backend=args.backend)
+            machine = replace(base_machine(), lsq=_lsq(preset, ports))
             for seed in seeds:
                 cells.append(Cell(benchmark=bench, machine=machine,
                                   seed=seed, n_instructions=n_instructions,
@@ -627,18 +626,14 @@ def _compare_report(old_path: str, report) -> None:
     """The inline perf-regression gate (same as scripts/bench_diff.py)."""
     import json
 
-    from repro.harness.engine import ReportBackendMismatch, diff_reports
+    from repro.harness.engine import diff_reports
     try:
         with open(old_path) as handle:
             old_report = json.load(handle)
     except (OSError, ValueError) as error:
         _usage_error(f"bench: cannot read --compare baseline: {error}")
         return
-    try:
-        problems = diff_reports(old_report, report)
-    except ReportBackendMismatch as error:
-        _usage_error(f"bench: {error}")
-        return
+    problems = diff_reports(old_report, report)
     if problems:
         print(f"bench: {len(problems)} regression(s) vs {old_path}:")
         for problem in problems:
@@ -955,19 +950,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("benchmark",
                        help=f"benchmark name ({', '.join(ALL_BENCHMARKS)}) "
                             "or a .lsqtrace file")
-        p.add_argument("-n", "--instructions", type=int, default=6000)
+        p.add_argument("-n", "--instructions", type=_instruction_count,
+                       default=6000)
         if with_lsq:
             p.add_argument("--lsq", choices=sorted(PRESETS),
                            default="conventional")
             p.add_argument("--ports", type=int, default=2)
             p.add_argument("--scaled", action="store_true",
                            help="use the 12-wide scaled machine (Sec. 4.3)")
-            p.add_argument("--backend", choices=list(SIM_BACKENDS),
-                           default="python",
-                           help="simulation engine: 'python' (reference) "
-                                "or 'fast' (repro.fastcore; bit-identical "
-                                "SimStats, enforced by the golden-parity "
-                                "suite)")
 
     run = sub.add_parser("run", help="simulate one benchmark")
     add_common(run)
@@ -985,7 +975,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     figure = sub.add_parser("figure", help="regenerate a paper figure")
     figure.add_argument("name", help="fig6..fig12, table2..table6, or 'all'")
-    figure.add_argument("-n", "--instructions", type=int, default=0,
+    figure.add_argument("-n", "--instructions", type=_instruction_count,
+                        default=0,
                         help="instructions per trace (default: "
                              "$REPRO_BENCH_INSTRUCTIONS or 6000)")
     figure.add_argument("--chart", action="store_true",
@@ -1002,18 +993,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated preset names (default: all 4)")
     bench.add_argument("--seeds", default="0",
                        help="comma-separated generator seeds (default: 0)")
-    bench.add_argument("-n", "--instructions", type=int, default=0,
+    bench.add_argument("-n", "--instructions", type=_instruction_count,
+                       default=0,
                        help="instructions per trace (default: "
                             "$REPRO_BENCH_INSTRUCTIONS or 6000)")
     bench.add_argument("--ports", type=int, default=0,
                        help="search ports for every preset (default: "
                             "the paper's pairing, 2p conventional/"
                             "segmented vs 1p techniques/full)")
-    bench.add_argument("--backend", choices=list(SIM_BACKENDS),
-                       default="python",
-                       help="simulation engine for every cell (part of "
-                            "the cache key; reports carry the tag and "
-                            "bench-diff refuses cross-backend compares)")
     bench.add_argument("--validate", action="store_true",
                        help="run every cell under the memory-model "
                             "oracle and invariant checker")
@@ -1059,17 +1046,13 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("benchmark", nargs="?", default="",
                        help=f"benchmark name ({', '.join(ALL_BENCHMARKS)}) "
                             "or a .lsqtrace file")
-    trace.add_argument("-n", "--instructions", type=int, default=6000)
+    trace.add_argument("-n", "--instructions", type=_instruction_count,
+                       default=6000)
     trace.add_argument("--lsq", choices=sorted(PRESETS),
                        default="conventional")
     trace.add_argument("--ports", type=int, default=2)
     trace.add_argument("--scaled", action="store_true",
                        help="use the 12-wide scaled machine (Sec. 4.3)")
-    trace.add_argument("--backend", choices=list(SIM_BACKENDS),
-                       default="python",
-                       help="accepted for symmetry; observation always "
-                            "runs the python engine (the fast engine "
-                            "has no observer hooks) with a notice")
     trace.add_argument("--smoke", action="store_true",
                        help="fixed tiny run (gzip, 800 instructions) "
                             "for the CI trace-smoke gate")
@@ -1109,15 +1092,11 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("benchmark",
                        help=f"benchmark name ({', '.join(ALL_BENCHMARKS)}) "
                             "or 'all'")
-    check.add_argument("-n", "--instructions", type=int, default=6000)
+    check.add_argument("-n", "--instructions", type=_instruction_count,
+                       default=6000)
     check.add_argument("--lsq", choices=sorted(PRESETS) + ["all"],
                        default="all")
     check.add_argument("--ports", type=int, default=2)
-    check.add_argument("--backend", choices=list(SIM_BACKENDS),
-                       default="python",
-                       help="accepted for symmetry; validation is "
-                            "checker-attached, which always uses the "
-                            "python engine (printed as a notice)")
     check.add_argument("--faults", action="store_true",
                        help="also run the fault-injection campaigns and "
                             "assert zero silent corruptions")
@@ -1146,18 +1125,14 @@ def build_parser() -> argparse.ArgumentParser:
     litmus.add_argument("--seed-range", default="0:8", dest="seed_range",
                         help="interleaving seeds as half-open A:B or a "
                              "single integer (default: 0:8)")
-    litmus.add_argument("-n", "--instructions", type=int, default=320,
+    litmus.add_argument("-n", "--instructions", type=_instruction_count,
+                        default=320,
                         help="instructions per cell (default: 320)")
     litmus.add_argument("--lsq", choices=sorted(PRESETS) + ["membar"],
                         default="conventional",
                         help="LSQ preset; 'membar' is the Section 2.2 "
                              "software-ordering design (relaxed model)")
     litmus.add_argument("--ports", type=int, default=2)
-    litmus.add_argument("--backend", choices=list(SIM_BACKENDS),
-                        default="python",
-                        help="accepted for symmetry; litmus runs are "
-                             "checker-attached, which always uses the "
-                             "python engine (printed as a notice)")
     litmus.add_argument("--model",
                         choices=["auto", "sc", "tso", "relaxed"],
                         default="auto",
@@ -1224,7 +1199,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: conventional,full)")
     submit.add_argument("--seeds", default="0",
                         help="comma-separated seeds (default: 0)")
-    submit.add_argument("-n", "--instructions", type=int, default=0,
+    submit.add_argument("-n", "--instructions", type=_instruction_count,
+                        default=0,
                         help="instructions per cell (default: 800)")
     submit.add_argument("--ports", type=int, default=0,
                         help="search ports (default: the paper's "

@@ -365,39 +365,15 @@ class BranchPredictorConfig:
     chooser_entries: int = 4096
 
 
-#: Simulation engines a :class:`MachineConfig` may select.  Both must
-#: produce bit-identical :class:`~repro.stats.counters.SimStats`; the
-#: golden-parity suite and the ``fast-parity`` CI job enforce it.
-SIM_BACKENDS = ("python", "fast")
-
-
 @dataclass(frozen=True)
 class MachineConfig:
-    """A complete machine: core + memory + LSQ + predictors.
-
-    ``backend`` selects the simulation engine: ``"python"`` is the
-    reference per-object cycle loop, ``"fast"`` the batched
-    struct-of-arrays engine (:mod:`repro.fastcore`).  The backend is
-    part of the sweep engine's cache key — same design, different
-    engine, different cell digest — so reports stay attributable.
-    """
+    """A complete machine: core + memory + LSQ + predictors."""
 
     core: CoreConfig = field(default_factory=CoreConfig)
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     lsq: LsqConfig = field(default_factory=LsqConfig)
     store_sets: StoreSetConfig = field(default_factory=StoreSetConfig)
     branch: BranchPredictorConfig = field(default_factory=BranchPredictorConfig)
-    backend: str = "python"
-
-    def __post_init__(self) -> None:
-        if self.backend not in SIM_BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; choose from: "
-                f"{', '.join(SIM_BACKENDS)}")
-
-    def with_backend(self, backend: str) -> "MachineConfig":
-        """Return a copy running on the given simulation engine."""
-        return replace(self, backend=backend)
 
     def with_lsq(self, **kwargs: Any) -> "MachineConfig":
         """Return a copy with load/store-queue parameters replaced."""

@@ -11,7 +11,6 @@ batch.
 from repro.harness.engine import (
     Cell,
     CellResult,
-    ReportBackendMismatch,
     ResultCache,
     SweepEngine,
     sweep_report,
@@ -22,7 +21,6 @@ from repro.harness.figures import default_instructions
 __all__ = [
     "Cell",
     "CellResult",
-    "ReportBackendMismatch",
     "ResultCache",
     "SweepEngine",
     "default_instructions",

@@ -501,25 +501,6 @@ class SweepEngine:
         return [results[index] for index in range(total)]
 
 
-class ReportBackendMismatch(ValueError):
-    """Two bench reports were measured under different simulation
-    backends (``python`` vs ``fast``); their wall times are not
-    comparable and :func:`diff_reports` refuses to pretend otherwise."""
-
-
-def _cells_backend(cells: Sequence[Cell]) -> str:
-    """The ``backend`` tag for a report over ``cells``.
-
-    Reports are taken per-backend in practice; a deliberately mixed
-    sweep is tagged ``"mixed"`` so :func:`diff_reports` refuses to
-    compare it against anything single-backend.
-    """
-    backends = sorted({cell.machine.backend for cell in cells})
-    if not backends:
-        return "python"
-    return backends[0] if len(backends) == 1 else "mixed"
-
-
 def sweep_report(results: Sequence[CellResult], *, jobs: int,
                  cache: Optional[ResultCache],
                  wall_s: float) -> Dict[str, object]:
@@ -548,7 +529,6 @@ def sweep_report(results: Sequence[CellResult], *, jobs: int,
     report: Dict[str, object] = {
         "schema": CACHE_SCHEMA,
         "code_version": code_version(),
-        "backend": _cells_backend([item.cell for item in results]),
         "jobs": jobs,
         "cells": cells,
         "n_cells": len(results),
@@ -648,7 +628,6 @@ def baseline_report(cells: Sequence[Cell], *,
         "schema": CACHE_SCHEMA,
         "kind": "core-baseline",
         "code_version": code_version(),
-        "backend": _cells_backend(cells),
         "calibration_s": round(calibration_loop_s(), 6),
         "cells": rows,
         "n_cells": len(rows),
@@ -716,25 +695,7 @@ def diff_reports(old: Dict[str, object], new: Dict[str, object], *,
     per-cell timings on short cells flicker past any reasonable budget
     under ambient load, while the total averages the noise out (IPC
     checks stay per-cell; they are exact either way).
-
-    Reports carry a ``backend`` tag (``python``/``fast``; reports from
-    before the tag existed count as ``python``).  Mismatched tags raise
-    :class:`ReportBackendMismatch` instead of diffing: a fast-engine
-    report is 1.5x+ quicker by design, so python-vs-fast wall times
-    would either mask a real regression or manufacture a fake
-    improvement.  IPC *is* bit-identical across backends, but the gate
-    refuses wholesale — regenerate one side under the other backend to
-    compare like against like.
     """
-    old_backend = str(old.get("backend") or "python")
-    new_backend = str(new.get("backend") or "python")
-    if old_backend != new_backend:
-        raise ReportBackendMismatch(
-            f"refusing to diff reports from different simulation "
-            f"backends: baseline is backend={old_backend!r}, candidate "
-            f"is backend={new_backend!r}; regenerate one side under the "
-            f"other backend (repro bench --backend {old_backend}) so "
-            f"wall times are comparable")
     def _index(report: Dict[str, object]) -> Dict[Tuple[object, ...],
                                                   Dict[str, object]]:
         cells = report.get("cells", [])

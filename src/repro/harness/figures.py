@@ -63,8 +63,17 @@ def default_instructions() -> int:
     ``REPRO_BENCH_INSTRUCTIONS`` environment variable, default 6000 —
     long enough for steady-state behaviour with warmed caches and
     predictors, short enough that the whole suite runs in about a minute
-    of pure-Python simulation."""
-    return int(os.environ.get("REPRO_BENCH_INSTRUCTIONS", "6000"))
+    of pure-Python simulation.  A value that is not a positive integer
+    raises ``ValueError`` naming the variable."""
+    text = os.environ.get("REPRO_BENCH_INSTRUCTIONS", "6000")
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"REPRO_BENCH_INSTRUCTIONS must be a positive "
+                         f"integer, got {text!r}")
+    return count
 
 
 #: What a render reads: column label -> benchmark -> result.

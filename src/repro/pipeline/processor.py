@@ -708,26 +708,11 @@ def simulate(trace: Trace, machine: MachineConfig,
     :class:`repro.obs.Observer` collecting structured events, interval
     metrics and the CPI stall stack; the returned statistics are
     bit-identical with and without it.
-
-    ``machine.backend`` selects the engine: ``"python"`` runs this
-    module's per-cycle reference loop, ``"fast"`` the batched
-    :mod:`repro.fastcore` engine (bit-identical ``SimStats`` by
-    contract; it falls back to the reference loop whenever a checker,
-    observer or tracer is attached).
     """
     if checker is None and validate:
         from repro.validate import ValidationChecker
         checker = ValidationChecker()
-    if machine.backend == "fast":
-        # Deferred import: repro.fastcore subclasses Processor.  The
-        # fast engine falls back to this per-cycle one on its own when
-        # a checker/observer/tracer needs per-cycle callbacks.
-        from repro.fastcore import FastProcessor
-        processor: Processor = FastProcessor(
-            machine, predictor_clear_interval=predictor_clear_interval,
-            checker=checker, obs=obs)
-    else:
-        processor = Processor(
-            machine, predictor_clear_interval=predictor_clear_interval,
-            checker=checker, obs=obs)
+    processor = Processor(
+        machine, predictor_clear_interval=predictor_clear_interval,
+        checker=checker, obs=obs)
     return processor.run(trace, max_cycles=max_cycles, warm=warm)

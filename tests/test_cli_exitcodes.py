@@ -77,6 +77,22 @@ def test_exit_codes_are_distinct_and_stable():
     # run: a truncated / bad-magic .lsqtrace
     (["run", "{truncated}"], "truncated record"),
     (["run", "{bad_magic}"], "not an .lsqtrace file"),
+    # out-of-range machine geometry, on every verb that builds one
+    (["run", "gzip", "--ports", "0"], "search_ports must be positive"),
+    (["check", "gzip", "--ports", "0"], "search_ports must be positive"),
+    (["litmus", "--smoke", "--ports", "0"],
+     "search_ports must be positive"),
+    (["pipetrace", "gzip", "--ports", "0"],
+     "search_ports must be positive"),
+    (["profile", "gzip", "--ports", "0"], "search_ports must be positive"),
+    (["bench", "--smoke", "--ports", "-1"],
+     "search_ports must be positive"),
+    # an explicit instruction count below 1
+    (["run", "gzip", "-n", "0"], "must be at least 1"),
+    (["run", "gzip", "-n", "-5"], "must be at least 1"),
+    (["trace", "gzip", "-n", "0"], "must be at least 1"),
+    (["gentrace", "gzip", "-n", "-3"], "must be at least 1"),
+    (["figure", "fig8", "-n", "-1", "--no-cache"], "must be at least 1"),
 ])
 def test_usage_errors_exit_2_with_stderr(argv, fragment, capsys, tmp_path):
     files = {"truncated": tmp_path / "cut.lsqtrace",
@@ -89,6 +105,19 @@ def test_usage_errors_exit_2_with_stderr(argv, fragment, capsys, tmp_path):
     captured = capsys.readouterr()
     assert fragment in captured.err
     # the message must be on stderr, never smuggled into the code
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_bench_instructions_variable_exits_2(value, monkeypatch,
+                                                 capsys):
+    """``figure`` and ``bench`` read their default length from
+    ``REPRO_BENCH_INSTRUCTIONS``; a bad value is a usage error that
+    names the variable, not a traceback or an empty run."""
+    monkeypatch.setenv("REPRO_BENCH_INSTRUCTIONS", value)
+    assert run_cli(["figure", "table2", "--no-cache"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "REPRO_BENCH_INSTRUCTIONS" in captured.err
     assert captured.out == ""
 
 

@@ -14,14 +14,6 @@ includes runs *through* squash-recovery windows: both ``mgrid`` on the
 segmented preset and ``wupwise`` on the pair-predictor preset trigger
 load-load ordering violation squashes, so recovery, replay, and
 re-execution paths are all under the digest.
-
-Every golden cell runs under **both** simulation backends
-(``MachineConfig.backend``: the reference python engine and the
-``repro.fastcore`` fast engine) against the *same* digest — the fast
-engine's contract is bit-identical SimStats, not approximately-equal
-ones.  ``scripts/fast_parity.py`` gives CI the same sweep as one
-command; ``tests/test_fastcore.py`` adds randomized cross-backend
-configs beyond the pinned grid.
 """
 
 from __future__ import annotations
@@ -113,20 +105,17 @@ def _trace(bench, seed):
     return _TRACE_CACHE[key]
 
 
-@pytest.mark.parametrize("backend", ["python", "fast"])
 @pytest.mark.parametrize("bench,seed,preset",
                          sorted(GOLDEN_DIGESTS),
                          ids=lambda v: str(v))
-def test_stats_digest_matches_golden(bench, seed, preset, backend):
-    machine = replace(base_machine(), lsq=PRESETS[preset](),
-                      backend=backend)
+def test_stats_digest_matches_golden(bench, seed, preset):
+    machine = replace(base_machine(), lsq=PRESETS[preset]())
     result = simulate(_trace(bench, seed), machine)
     assert stats_digest(result.stats) == \
         GOLDEN_DIGESTS[(bench, seed, preset)], (
-        f"SimStats drifted for {bench} seed {seed} on {preset} "
-        f"(backend={backend}): simulator semantics changed (or the "
-        "canonical encoding did); if intentional, regenerate "
-        "GOLDEN_DIGESTS and say so in the PR")
+        f"SimStats drifted for {bench} seed {seed} on {preset}: "
+        "simulator semantics changed (or the canonical encoding did); "
+        "if intentional, regenerate GOLDEN_DIGESTS and say so in the PR")
 
 
 def test_suite_runs_through_squash_recovery():

@@ -1,7 +1,5 @@
 """End-to-end tests of the out-of-order core on hand-built micro-traces."""
 
-import pytest
-
 from repro.config import base_machine
 from repro.pipeline.processor import Processor, simulate
 from repro.workload.isa import Instruction, OpClass
@@ -204,15 +202,13 @@ class TestEdgeCases:
 
 
 class TestRetention:
-    @pytest.mark.parametrize("engine", ["python", "fast"])
-    def test_retired_instructions_are_released(self, engine, monkeypatch):
+    def test_retired_instructions_are_released(self, monkeypatch):
         """Committed instructions must not stay reachable through
         previous-writer links or already-woken consumer lists: the
         number left alive after a run is bounded by the window size,
         not the trace length."""
         import gc
 
-        from repro.fastcore import FastProcessor, engine as fast_engine
         from repro.pipeline import processor as reference_engine
         from repro.pipeline.dyninst import DynInst, InstState
         from repro.workload.synthetic import generate_trace
@@ -222,17 +218,15 @@ class TestRetention:
             return sum(1 for obj in gc.get_objects()
                        if type(obj) is DynInst)
 
-        fast = engine == "fast"
-        engine_class = FastProcessor if fast else Processor
         machine = base_machine()
         trace = generate_trace("mgrid", n_instructions=8000)
         before = live()
-        processor = engine_class(machine)
+        processor = Processor(machine)
         processor.run(trace)
         assert live() - before <= 2 * machine.core.rob_entries
 
-        # The fast engine's scoreboard dies with its loop, so check the
-        # links themselves: a run that records every instruction.
+        # Check the links themselves too: a run that records every
+        # instruction it creates.
         created = []
 
         def recording(*args):
@@ -240,9 +234,8 @@ class TestRetention:
             created.append(inst)
             return inst
 
-        monkeypatch.setattr(fast_engine if fast else reference_engine,
-                            "DynInst", recording)
-        assert engine_class(machine).run(trace).stats.committed == 8000
+        monkeypatch.setattr(reference_engine, "DynInst", recording)
+        assert Processor(machine).run(trace).stats.committed == 8000
         committed = [inst for inst in created
                      if inst.state is InstState.COMMITTED]
         assert len(committed) == 8000

@@ -3,8 +3,9 @@
 * The memory-model oracle computes the correct source of every load on
   hand-built traces (byte-granular, last-writer-wins).
 * Clean runs validate cleanly: a hypothesis sweep over random
-  (benchmark, LSQ preset, seed) combinations runs under the full
-  checker without a single failure.
+  benchmarks, LSQ presets, seeds and machine geometries (width, ROB,
+  search ports, load-buffer entries) runs under the full checker
+  without a single failure.
 * Rigged corruptions are caught: deterministic fault injectors make the
   raising checker throw ``ValidationError`` / ``InvariantViolation``
   with a populated diagnostic bundle.
@@ -41,7 +42,7 @@ from repro.validate import (
     run_fault_campaign,
     scan,
 )
-from repro.workload import generate_trace
+from repro.workload import ALL_BENCHMARKS, generate_trace
 from repro.workload.isa import Instruction, OpClass
 from repro.workload.trace import Trace
 
@@ -129,14 +130,28 @@ def test_invariants_flag_lsq_rob_mismatch():
 # clean runs validate cleanly (hypothesis property)
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=10, deadline=None)
-@given(bench=st.sampled_from(["bzip", "gcc", "mcf", "equake", "art"]),
+@settings(max_examples=50, deadline=None)
+@given(bench=st.sampled_from(ALL_BENCHMARKS),
        preset=st.sampled_from(sorted(cli.PRESETS)),
-       seed=st.integers(0, 100))
-def test_random_runs_pass_full_validation(bench, preset, seed):
-    trace = generate_trace(bench, n_instructions=400, seed=seed)
+       ports=st.sampled_from([1, 2]),
+       load_buffer=st.sampled_from([None, 1, 2, 4]),
+       width=st.sampled_from([2, 4, 8]),
+       rob=st.sampled_from([48, 96, 256]),
+       n=st.integers(150, 450),
+       seed=st.integers(0, 10_000))
+def test_random_runs_pass_full_validation(bench, preset, ports, load_buffer,
+                                          width, rob, n, seed):
+    """Narrow machines, tiny ROBs and odd load-buffer sizes, outside
+    the golden grid: structural corner cases are where ordering bugs
+    hide, so every draw answers to the oracle and the invariants."""
+    machine = preset_machine(preset, ports).with_core(
+        fetch_width=width, issue_width=width, commit_width=width,
+        rob_entries=rob)
+    if load_buffer is not None and machine.lsq.load_buffer_entries:
+        machine = machine.with_lsq(load_buffer_entries=load_buffer)
+    trace = generate_trace(bench, n_instructions=n, seed=seed)
     checker = ValidationChecker()      # raising: any failure throws
-    result = simulate(trace, preset_machine(preset), checker=checker)
+    result = simulate(trace, machine, checker=checker)
     assert checker.ok
     assert checker.checked_loads == result.stats.committed_loads
     assert checker.checked_cycles == result.stats.cycles
