@@ -86,6 +86,9 @@ EXIT_FORBIDDEN = 3
 EXIT_WATCHDOG = 4
 EXIT_UNAVAILABLE = 5   # submit: the server cannot be reached
 EXIT_BUSY = 6          # submit: backpressured (429) past all retries
+#: The reader closed stdout (``repro run ... | head``): 128 + SIGPIPE,
+#: the status a shell reports for a process SIGPIPE ended.
+EXIT_BROKEN_PIPE = 141
 
 
 def _usage_error(message: str) -> NoReturn:
@@ -1259,7 +1262,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> None:
     args = build_parser().parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Only this process's stdout is given up; SIGPIPE keeps Python's
+        # default (ignored), so ``repro serve`` survives a client that
+        # disconnects mid-response.  Point stdout at devnull so the
+        # interpreter's exit-time flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.exit(EXIT_BROKEN_PIPE)
 
 
 if __name__ == "__main__":

@@ -386,10 +386,12 @@ class PortCalendar:
     capacity (-1 before any).  Only a pipelined search's later slots
     can lie after the current cycle, so while ``last_exhausted <=
     cycle`` a search starting at ``cycle`` is admitted or bounced by
-    its first slot alone.
+    its first slot alone.  ``exhausted`` counts the slots booked to
+    capacity so far: while it stands still, no slot has filled.
     """
 
-    __slots__ = ("ports", "_used", "_sweep_cycle", "last_exhausted")
+    __slots__ = ("ports", "_used", "_sweep_cycle", "last_exhausted",
+                 "exhausted")
 
     def __init__(self, ports_per_segment: int) -> None:
         if ports_per_segment <= 0:
@@ -398,6 +400,7 @@ class PortCalendar:
         self._used: Dict[Tuple[int, int], int] = {}
         self._sweep_cycle = 0
         self.last_exhausted = -1
+        self.exhausted = 0
 
     def available(self, segment: int, cycle: int) -> bool:
         return self._used.get((segment, cycle), 0) < self.ports
@@ -411,8 +414,10 @@ class PortCalendar:
         if used > self.ports:
             raise RuntimeError("reserving an exhausted port slot")
         self._used[key] = used
-        if used == self.ports and cycle > self.last_exhausted:
-            self.last_exhausted = cycle
+        if used == self.ports:
+            self.exhausted += 1
+            if cycle > self.last_exhausted:
+                self.last_exhausted = cycle
 
     def check_path(self, segments: List[int], start_cycle: int) -> str:
         """Classify availability along a pipelined search path.

@@ -33,12 +33,14 @@ class AccessResult:
 
 
 class _PortMeter:
-    """Per-cycle port usage counter."""
+    """Per-cycle port usage counter; ``exhausted`` counts the cycles
+    whose ports were all taken."""
 
     def __init__(self, ports: int) -> None:
         self.ports = ports
         self._cycle = -1
         self._used = 0
+        self.exhausted = 0
 
     def try_reserve(self, cycle: int) -> bool:
         if cycle != self._cycle:
@@ -47,6 +49,8 @@ class _PortMeter:
         if self._used >= self.ports:
             return False
         self._used += 1
+        if self._used == self.ports:
+            self.exhausted += 1
         return True
 
     def available(self, cycle: int) -> bool:

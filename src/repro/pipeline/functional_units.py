@@ -9,21 +9,12 @@ and as branch-resolution units, which matches the paper's configuration
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.workload.isa import OpClass
 
 #: ``True`` for op classes executed by the FP pool, indexable by the
 #: ``OpClass`` value (replaces a tuple-membership test on the hot path).
 _USES_FP_POOL = tuple(op in (OpClass.FP_ALU, OpClass.FP_MUL)
                       for op in OpClass)
-
-
-@dataclass
-class FunctionalUnitStats:
-    int_issued: int = 0
-    fp_issued: int = 0
-    structural_stalls: int = 0
 
 
 class FunctionalUnits:
@@ -37,7 +28,6 @@ class FunctionalUnits:
         self._cycle = -1
         self._int_used = 0
         self._fp_used = 0
-        self.stats = FunctionalUnitStats()
 
     def _roll(self, cycle: int) -> None:
         if cycle != self._cycle:
@@ -59,14 +49,10 @@ class FunctionalUnits:
         self._roll(cycle)
         if _USES_FP_POOL[op]:
             if self._fp_used >= self.fp_units:
-                self.stats.structural_stalls += 1
                 return False
             self._fp_used += 1
-            self.stats.fp_issued += 1
             return True
         if self._int_used >= self.int_units:
-            self.stats.structural_stalls += 1
             return False
         self._int_used += 1
-        self.stats.int_issued += 1
         return True

@@ -22,15 +22,10 @@ class RegisterFile:
             raise ValueError("need more physical than architectural registers")
         self._int_free = int_registers - arch_registers
         self._fp_free = fp_registers - arch_registers
-        self.rename_stalls = 0
 
     @staticmethod
     def _is_fp(reg: int) -> bool:
         return reg >= FP_REG_BASE
-
-    def note_rename_stall(self, cycles: int = 1) -> None:
-        """Record ``cycles`` dispatch cycles lost to an empty free list."""
-        self.rename_stalls += cycles
 
     def can_rename(self, dest: int) -> bool:
         if dest == NO_REG:

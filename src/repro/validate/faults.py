@@ -89,16 +89,24 @@ class SkipSqSearchFault(FaultInjector):
     def install(self, processor: Processor) -> None:
         lsq = processor.lsq
         original = lsq._needs_sq_search
+        # Per-load decisions, made at the load's first attempt: a load
+        # waiting on its SQ first slot is keyed on its search need, so
+        # the need must not flip between attempts.
+        decisions: Dict[int, bool] = {}
 
         def corrupted(load):
             decision = original(load)
-            if (decision and lsq._oracle_match(load) is not None
-                    and self.rng.random() < self.rate):
-                self._record(processor, load,
-                             "forced skip of the SQ search on a load with "
-                             "an older overlapping store in flight")
-                return False
-            return decision
+            skip = decisions.get(load.seq)
+            if skip is None:
+                skip = (decision and lsq._oracle_match(load) is not None
+                        and self.rng.random() < self.rate)
+                decisions[load.seq] = skip
+                if skip:
+                    self._record(processor, load,
+                                 "forced skip of the SQ search on a load "
+                                 "with an older overlapping store in "
+                                 "flight")
+            return decision and not skip
 
         lsq._needs_sq_search = corrupted
 

@@ -12,6 +12,7 @@ code  meaning
 4     watchdog: simulation hung (``check``/``litmus``)
 5     serving: server unreachable (``repro submit``)
 6     serving: backpressured past all retries (``repro submit``)
+141   the reader closed stdout (128 + SIGPIPE)
 ====  =======================================================
 
 Historically several verbs rejected bad arguments via
@@ -22,6 +23,10 @@ exits 2, and this module is the regression net.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -162,3 +167,22 @@ def test_compare_regression_exits_1(tmp_path, capsys):
                     "--compare", str(doctored)])
     assert code == cli.EXIT_VALIDATION
     capsys.readouterr()
+
+
+def test_closed_stdout_exits_quietly_with_sigpipe_status():
+    """``repro ... | head -1``: the reader leaves after one line.  The
+    trace is far larger than a pipe holds, so the CLI is still writing
+    when the pipe closes; it must stop without a traceback and with
+    128 + SIGPIPE, not 1 (a validation failure)."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "pipetrace", "gzip",
+         "-n", "3000", "--first", "0", "--last", "3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=root)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr

@@ -180,13 +180,6 @@ class TestFunctionalUnits:
         assert not fus.try_issue(OpClass.INT_ALU, 0)
         assert fus.try_issue(OpClass.INT_ALU, 1)
 
-    def test_stall_stats(self):
-        fus = FunctionalUnits(1, 1)
-        fus.try_issue(OpClass.INT_ALU, 0)
-        fus.try_issue(OpClass.INT_ALU, 0)
-        assert fus.stats.structural_stalls == 1
-        assert fus.stats.int_issued == 1
-
 
 class TestRegisterFile:
     def test_free_list_accounting(self):

@@ -20,14 +20,17 @@
 """
 
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import cli
-from repro.config import CoreConfig, base_machine
+from repro.config import (AllocationPolicy, ContentionPolicy, CoreConfig,
+                          base_machine)
 from repro.pipeline.dyninst import DynInst
 from repro.pipeline.processor import Processor, simulate
+from repro.stats.counters import stats_digest
 from repro.validate import (
     FAULT_CLASSES,
     CommittedMemory,
@@ -130,6 +133,10 @@ def test_invariants_flag_lsq_rob_mismatch():
 # clean runs validate cleanly (hypothesis property)
 # ---------------------------------------------------------------------------
 
+def _never_park(self, index, wait):
+    return False
+
+
 @settings(max_examples=50, deadline=None)
 @given(bench=st.sampled_from(ALL_BENCHMARKS),
        preset=st.sampled_from(sorted(cli.PRESETS)),
@@ -137,24 +144,45 @@ def test_invariants_flag_lsq_rob_mismatch():
        load_buffer=st.sampled_from([None, 1, 2, 4]),
        width=st.sampled_from([2, 4, 8]),
        rob=st.sampled_from([48, 96, 256]),
+       segments=st.integers(1, 4),
+       segment_entries=st.integers(4, 28),
+       allocation=st.sampled_from(sorted(AllocationPolicy,
+                                         key=lambda p: p.name)),
+       contention=st.sampled_from(sorted(ContentionPolicy,
+                                         key=lambda p: p.name)),
+       unified=st.booleans(),
        n=st.integers(150, 450),
        seed=st.integers(0, 10_000))
 def test_random_runs_pass_full_validation(bench, preset, ports, load_buffer,
-                                          width, rob, n, seed):
-    """Narrow machines, tiny ROBs and odd load-buffer sizes, outside
-    the golden grid: structural corner cases are where ordering bugs
-    hide, so every draw answers to the oracle and the invariants."""
+                                          width, rob, segments,
+                                          segment_entries, allocation,
+                                          contention, unified, n, seed):
+    """Narrow machines, tiny ROBs, odd load-buffer sizes and segment
+    geometries, outside the golden grid: structural corner cases are
+    where ordering bugs hide, so every draw answers to the oracle and
+    the invariants, once with blocked loads parked and once with every
+    blocked load attempted each cycle (``Processor._park`` patched
+    off); both runs must agree."""
     machine = preset_machine(preset, ports).with_core(
         fetch_width=width, issue_width=width, commit_width=width,
         rob_entries=rob)
     if load_buffer is not None and machine.lsq.load_buffer_entries:
         machine = machine.with_lsq(load_buffer_entries=load_buffer)
+    machine = machine.with_lsq(
+        segments=segments, segment_entries=segment_entries,
+        allocation=allocation, contention=contention,
+        unified_queue=unified)
     trace = generate_trace(bench, n_instructions=n, seed=seed)
-    checker = ValidationChecker()      # raising: any failure throws
-    result = simulate(trace, machine, checker=checker)
-    assert checker.ok
-    assert checker.checked_loads == result.stats.committed_loads
-    assert checker.checked_cycles == result.stats.cycles
+    digests = []
+    for park in (Processor._park, _never_park):
+        with patch.object(Processor, "_park", park):
+            checker = ValidationChecker()      # raising: any failure throws
+            result = simulate(trace, machine, checker=checker)
+        assert checker.ok
+        assert checker.checked_loads == result.stats.committed_loads
+        assert checker.checked_cycles == result.stats.cycles
+        digests.append(stats_digest(result.stats))
+    assert digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------
