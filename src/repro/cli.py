@@ -528,7 +528,8 @@ def cmd_bench(args) -> None:
     import json
     import time
 
-    from repro.harness.engine import Cell, sweep_report
+    from repro.harness.engine import sweep_report
+    from repro.serve.spec import SweepSpec, expand_cells
 
     if args.output is None:
         args.output = ("BENCH_core.json" if args.baseline
@@ -569,16 +570,13 @@ def cmd_bench(args) -> None:
         _usage_error(f"bench: --compare baseline not found: "
                      f"{args.compare}")
 
-    cells = []
-    for bench in benchmarks:
-        for preset in presets:
-            ports = args.ports or BENCH_DEFAULT_PORTS.get(preset, 2)
-            machine = replace(base_machine(), lsq=_lsq(preset, ports))
-            for seed in seeds:
-                cells.append(Cell(benchmark=bench, machine=machine,
-                                  seed=seed, n_instructions=n_instructions,
-                                  validate=args.validate,
-                                  label=f"{preset}-{ports}p"))
+    try:
+        cells = expand_cells(SweepSpec(
+            benchmarks=tuple(benchmarks), presets=tuple(presets),
+            seeds=tuple(seeds), n_instructions=n_instructions,
+            ports=args.ports, validate=args.validate))
+    except ValueError as error:
+        _usage_error(f"bad machine: {error}")
 
     if args.baseline:
         _bench_baseline(args, cells, benchmarks, presets, seeds,

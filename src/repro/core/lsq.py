@@ -119,8 +119,7 @@ class LoadStoreQueue:
 
     def __init__(self, config: LsqConfig, ss_config: StoreSetConfig,
                  memory: MemoryHierarchy, stats: SimStats,
-                 pair_rollback_penalty: int = 1,
-                 clear_interval: Optional[int] = None) -> None:
+                 pair_rollback_penalty: int = 1) -> None:
         self.config = config
         self.ss_config = ss_config
         self.memory = memory
@@ -194,8 +193,8 @@ class LoadStoreQueue:
 
         #: Optional event bus (repro.obs); wired by Observer.attach().
         self.obs: Optional[EventBus] = None
-        self.predictor: Predictor = make_predictor(config.predictor, ss_config, stats,
-                                        clear_interval)
+        self.predictor: Predictor = make_predictor(config.predictor,
+                                                   ss_config, stats)
         self.load_buffer = LoadBuffer(config.load_buffer_entries)
         self.nilp = NilpTracker()
         self._stores: Dict[int, DynInst] = {}

@@ -145,8 +145,7 @@ class PairPredictor:
     """Store-set + store-load pair prediction over either table flavour."""
 
     def __init__(self, config: StoreSetConfig, stats: SimStats,
-                 mode: PredictorMode,
-                 clear_interval: Optional[int] = None) -> None:
+                 mode: PredictorMode) -> None:
         if mode not in (PredictorMode.PAIR, PredictorMode.AGGRESSIVE,
                         PredictorMode.CONVENTIONAL):
             raise ValueError(f"PairPredictor does not implement {mode}")
@@ -155,8 +154,7 @@ class PairPredictor:
         self.mode = mode
         #: Optional event bus (repro.obs); wired by Observer.attach().
         self.obs: Optional[EventBus] = None
-        self.clear_interval = (clear_interval if clear_interval is not None
-                               else config.clear_interval)
+        self.clear_interval = config.clear_interval
         self._clears = 0
         self.tables: Union[_RealTables, _IdealTables]
         if mode is PredictorMode.AGGRESSIVE:
@@ -324,9 +322,8 @@ Predictor = Union[PairPredictor, PerfectPredictor]
 
 
 def make_predictor(mode: PredictorMode, config: StoreSetConfig,
-                   stats: SimStats,
-                   clear_interval: Optional[int] = None) -> Predictor:
+                   stats: SimStats) -> Predictor:
     """Build the predictor variant for an LSQ configuration."""
     if mode is PredictorMode.PERFECT:
         return PerfectPredictor(config, stats)
-    return PairPredictor(config, stats, mode, clear_interval)
+    return PairPredictor(config, stats, mode)

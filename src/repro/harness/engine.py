@@ -373,17 +373,14 @@ class SweepEngine:
 
     ``jobs`` is the worker-pool width (1 = serial, in-process);
     ``cache=None`` disables disk caching entirely (the ``--no-cache``
-    escape hatch).  The engine itself is stateless between calls apart
-    from hit/miss/simulated counters.
+    escape hatch).  The engine itself keeps no state between calls;
+    the cache counts its own hits and misses.
     """
 
     def __init__(self, jobs: int = 1,
                  cache: Optional[ResultCache] = None) -> None:
         self.jobs = max(1, jobs)
         self.cache = cache
-        #: Cells actually simulated (not served from cache) by this
-        #: engine instance.
-        self.simulated = 0
 
     def _from_cache(self, cell: Cell, digest: str) -> Optional[CellResult]:
         if self.cache is None:
@@ -402,7 +399,6 @@ class SweepEngine:
                 sim_s: float, wall_s: float,
                 validation: Optional[ValidationSummary],
                 obs: Optional[ObsSummary]) -> CellResult:
-        self.simulated += 1
         if self.cache is not None:
             self.cache.store(digest, result, sim_s, validation, obs)
         return CellResult(cell=cell, result=result, sim_s=sim_s,
@@ -417,25 +413,6 @@ class SweepEngine:
         an event loop without an executor.
         """
         return self._from_cache(cell, cell.digest())
-
-    async def run_cell_async(self, cell: Cell,
-                             executor: Optional[object] = None) -> CellResult:
-        """Async-friendly :meth:`run_cell`.
-
-        The cache probe happens inline (it cannot stall a loop), while a
-        miss's simulation — seconds of pure compute — is pushed into
-        ``executor`` (``None`` = the loop's default thread pool) so the
-        event loop stays responsive.  The serving layer's worker-process
-        pool bypasses this and ships cells to dedicated processes; this
-        entry point is the dependency-free fallback.
-        """
-        import asyncio
-        digest = cell.digest()
-        cached = self._from_cache(cell, digest)
-        if cached is not None:
-            return cached
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(executor, self.run_cell, cell)  # type: ignore[arg-type]
 
     def run_cell(self, cell: Cell) -> CellResult:
         """Run one cell in-process (cache-first)."""

@@ -10,10 +10,10 @@ series, not a client library.  The design rules:
 * **Fixed bucket bounds** — histograms declare their buckets at
   registration; nothing adapts at runtime, so bucket series are stable
   across restarts and diffable across runs.
-* **Mirrored counters** — live subsystems (worker pool, single-flight
-  table, result cache) already keep authoritative counters;
-  :meth:`Counter.set_total` lets the scrape path mirror them into the
-  exposition without double-counting logic on hot paths.
+* **Read-through metrics** — a count a subsystem already keeps (worker
+  pool, single-flight table, result cache) is not stored again: its
+  counter or gauge takes a ``read`` function, and rendering calls it,
+  so each count has exactly one store.
 
 :func:`parse_prometheus_text` is the other half of the contract: the
 tests and the CI smoke parse the server's own scrape with it, so the
@@ -26,9 +26,14 @@ import dataclasses
 import re
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 LabelKey = Tuple[Tuple[str, str], ...]
+
+#: What a read-through metric's ``read`` returns: the value of an
+#: unlabelled metric, or a one-label metric's values by label value.
+Reading = Union[float, Mapping[Any, float]]
 
 #: Service-latency bucket bounds, milliseconds.  Spans the warm-hit SLO
 #: (5 ms) on the low end and a slow cold simulation on the high end.
@@ -99,64 +104,63 @@ class _Metric:
         raise NotImplementedError
 
 
-class Counter(_Metric):
+class _Sample(_Metric):
+    """Counter and gauge storage: one number per label set, either
+    stored here or read from the subsystem that owns it."""
+
+    def __init__(self, name: str, help_text: str,
+                 labelnames: Sequence[str], lock: threading.Lock,
+                 read: Optional[Callable[[], Reading]] = None) -> None:
+        super().__init__(name, help_text, labelnames, lock)
+        self._values: Dict[LabelKey, float] = {}
+        self._read = read
+
+    def _stored_key(self, labels: Mapping[str, object]) -> LabelKey:
+        if self._read is not None:
+            raise TypeError(f"{self.name} is read through; its owner "
+                            "keeps the value")
+        return self._key(labels)
+
+    def _snapshot(self) -> Dict[LabelKey, float]:
+        if self._read is None:
+            with self._lock:
+                return dict(self._values)
+        reading = self._read()
+        if isinstance(reading, Mapping):
+            return {self._key(dict(zip(self.labelnames, [label]))): value
+                    for label, value in reading.items()}
+        return {self._key({}): reading}
+
+    def value(self, **labels: object) -> float:
+        return self._snapshot().get(self._key(labels), 0.0)
+
+    def render(self) -> List[str]:
+        return [f"{self.name}{_label_text(key)} {_format_value(value)}"
+                for key, value in sorted(self._snapshot().items())]
+
+
+class Counter(_Sample):
     """Monotonically non-decreasing totals."""
 
     kind = "counter"
 
-    def __init__(self, name: str, help_text: str,
-                 labelnames: Sequence[str], lock: threading.Lock) -> None:
-        super().__init__(name, help_text, labelnames, lock)
-        self._values: Dict[LabelKey, float] = {}
-
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         if amount < 0:
             raise ValueError(f"{self.name}: counters only go up")
-        key = self._key(labels)
+        key = self._stored_key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def set_total(self, value: float, **labels: object) -> None:
-        """Mirror an external monotonic counter (never decreases)."""
-        key = self._key(labels)
-        with self._lock:
-            if value >= self._values.get(key, 0.0):
-                self._values[key] = value
 
-    def value(self, **labels: object) -> float:
-        with self._lock:
-            return self._values.get(self._key(labels), 0.0)
-
-    def render(self) -> List[str]:
-        with self._lock:
-            items = sorted(self._values.items())
-        return [f"{self.name}{_label_text(key)} {_format_value(value)}"
-                for key, value in items]
-
-
-class Gauge(_Metric):
-    """A value that goes up and down (set at scrape-refresh time)."""
+class Gauge(_Sample):
+    """A value that goes up and down."""
 
     kind = "gauge"
 
-    def __init__(self, name: str, help_text: str,
-                 labelnames: Sequence[str], lock: threading.Lock) -> None:
-        super().__init__(name, help_text, labelnames, lock)
-        self._values: Dict[LabelKey, float] = {}
-
     def set(self, value: float, **labels: object) -> None:
+        key = self._stored_key(labels)
         with self._lock:
-            self._values[self._key(labels)] = float(value)
-
-    def value(self, **labels: object) -> float:
-        with self._lock:
-            return self._values.get(self._key(labels), 0.0)
-
-    def render(self) -> List[str]:
-        with self._lock:
-            items = sorted(self._values.items())
-        return [f"{self.name}{_label_text(key)} {_format_value(value)}"
-                for key, value in items]
+            self._values[key] = float(value)
 
 
 class Histogram(_Metric):
@@ -234,16 +238,21 @@ class MetricsRegistry:
         return metric
 
     def counter(self, name: str, help_text: str,
-                labelnames: Sequence[str] = ()) -> Counter:
+                labelnames: Sequence[str] = (),
+                read: Optional[Callable[[], Reading]] = None) -> Counter:
+        """A counter; with ``read``, its values are read from their
+        owner at each render instead of stored here."""
         metric = self._register(
-            Counter(name, help_text, labelnames, self._lock))
+            Counter(name, help_text, labelnames, self._lock, read))
         assert isinstance(metric, Counter)
         return metric
 
     def gauge(self, name: str, help_text: str,
-              labelnames: Sequence[str] = ()) -> Gauge:
+              labelnames: Sequence[str] = (),
+              read: Optional[Callable[[], Reading]] = None) -> Gauge:
+        """A gauge; ``read`` as for :meth:`counter`."""
         metric = self._register(
-            Gauge(name, help_text, labelnames, self._lock))
+            Gauge(name, help_text, labelnames, self._lock, read))
         assert isinstance(metric, Gauge)
         return metric
 

@@ -115,7 +115,7 @@ class SpanTracer:
         self._prefix = f"{os.getpid() & 0xFFFFF:05x}"
         self._by_job: "OrderedDict[str, List[Span]]" = OrderedDict()
         self._loose: Deque[Span] = deque(maxlen=max(1, keep_loose))
-        #: Spans started / finished (the registry mirrors these).
+        #: Spans started / finished (the registry reads ``finished``).
         self.started = 0
         self.finished = 0
 

@@ -58,25 +58,14 @@ def machine_for_label(label: str) -> Any:
     """
     from dataclasses import replace
 
-    from repro.config import (
-        base_machine,
-        conventional_lsq,
-        full_techniques_lsq,
-        segmented_lsq,
-        techniques_lsq,
-    )
-    presets = {
-        "conventional": conventional_lsq,
-        "techniques": techniques_lsq,
-        "segmented": segmented_lsq,
-        "full": full_techniques_lsq,
-    }
+    from repro.cli import PRESETS
+    from repro.config import base_machine
     match = _LABEL_RE.match(label)
-    if match is None or match.group("preset") not in presets:
+    if match is None or match.group("preset") not in PRESETS:
         raise ValueError(
             f"label {label!r} is not a serve-spec '{{preset}}-{{N}}p' "
             f"label; cannot rebuild the machine")
-    factory = presets[match.group("preset")]
+    factory = PRESETS[match.group("preset")]
     return replace(base_machine(),
                    lsq=factory(ports=int(match.group("ports"))))
 

@@ -208,7 +208,6 @@ class Processor:
     """One configured machine ready to run one trace."""
 
     def __init__(self, machine: MachineConfig,
-                 predictor_clear_interval: Optional[int] = None,
                  checker=None, obs=None) -> None:
         self.machine = machine
         #: Optional ValidationChecker (repro.validate) cross-checking
@@ -221,13 +220,9 @@ class Processor:
         self.obs = obs
         self.stats = SimStats()
         self.memory = MemoryHierarchy(machine.memory)
-        kwargs = {}
-        if predictor_clear_interval is not None:
-            kwargs["clear_interval"] = predictor_clear_interval
         self.lsq = LoadStoreQueue(
             machine.lsq, machine.store_sets, self.memory, self.stats,
-            pair_rollback_penalty=machine.core.pair_rollback_penalty,
-            **kwargs)
+            pair_rollback_penalty=machine.core.pair_rollback_penalty)
         self.branch_predictor = HybridBranchPredictor(machine.branch)
         self.rob = ReorderBuffer(machine.core.rob_entries)
         self.iq = IssueQueue(machine.core.issue_queue_entries)
@@ -903,7 +898,6 @@ class Processor:
 
 def simulate(trace: Trace, machine: MachineConfig,
              max_cycles: Optional[int] = None,
-             predictor_clear_interval: Optional[int] = None,
              warm: bool = True, validate: bool = False,
              checker=None, obs=None) -> SimulationResult:
     """Run ``trace`` on ``machine`` and return the statistics.
@@ -921,7 +915,5 @@ def simulate(trace: Trace, machine: MachineConfig,
     if checker is None and validate:
         from repro.validate import ValidationChecker
         checker = ValidationChecker()
-    processor = Processor(
-        machine, predictor_clear_interval=predictor_clear_interval,
-        checker=checker, obs=obs)
+    processor = Processor(machine, checker=checker, obs=obs)
     return processor.run(trace, max_cycles=max_cycles, warm=warm)

@@ -39,7 +39,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 #: cell's latency into queue-wait and worker-execution spans.
 DispatchFn = Callable[[int, bool], None]
 
-from repro.harness.engine import Cell, CellResult
+from repro.harness.engine import Cell, CellResult, code_version
 
 #: Benchmark name that makes a worker die abruptly — the fault hook the
 #: crash-containment tests use.  The spec grammar can never produce it
@@ -56,12 +56,17 @@ class CellFailed(RuntimeError):
 
 
 def _worker_main(worker_id: int, task_queue: Any, result_queue: Any,
-                 cache_dir: Optional[str]) -> None:
+                 cache_dir: Optional[str], version: str) -> None:
     """Worker body: pull (task_id, cell), run it cache-first, ship the
-    picklable CellResult (or the error text) back."""
-    from repro.harness.engine import ResultCache, SweepEngine
-    cache = ResultCache(Path(cache_dir)) if cache_dir else None
-    engine = SweepEngine(jobs=1, cache=cache)
+    picklable CellResult (or the error text) back.
+
+    ``version`` is the coordinator's :func:`code_version`.  Every cell
+    is keyed under it, so a worker spawned after a source edit still
+    stores where the coordinator probes."""
+    from repro.harness import engine as harness
+    harness._code_version = version
+    cache = harness.ResultCache(Path(cache_dir)) if cache_dir else None
+    engine = harness.SweepEngine(jobs=1, cache=cache)
     while True:
         item = task_queue.get()
         if item is None:
@@ -122,16 +127,12 @@ class WorkerPool:
         self._reader: Optional[threading.Thread] = None
         self._monitor: Optional["asyncio.Task[None]"] = None
         self._closed = False
-        #: Cells a worker finished successfully.
-        self.computed = 0
-        #: Cells failed (in-cell error or worker crash).
-        self.failed = 0
         #: Tasks taken from another worker's backlog.
         self.steals = 0
-        #: Workers respawned after a crash.
-        self.respawns = 0
-        # Per-worker telemetry (indexed by worker id; survives respawns
-        # — a respawned worker keeps its slot's history).
+        # Per-worker counts (indexed by worker id; survives respawns —
+        # a respawned worker keeps its slot's history): cells finished,
+        # cells failed (in-cell error or worker crash), respawns after
+        # a crash.
         self.worker_done: List[int] = [0] * self.workers
         self.worker_failed: List[int] = [0] * self.workers
         self.worker_respawns: List[int] = [0] * self.workers
@@ -154,7 +155,8 @@ class WorkerPool:
         queue = self._ctx.Queue()
         process = self._ctx.Process(
             target=_worker_main,
-            args=(worker_id, queue, self._result_queue, self._cache_dir),
+            args=(worker_id, queue, self._result_queue, self._cache_dir,
+                  code_version()),
             name=f"repro-serve-worker-{worker_id}", daemon=True)
         process.start()
         self._task_queues[worker_id] = queue
@@ -217,7 +219,7 @@ class WorkerPool:
         return [len(backlog) for backlog in self._backlog]
 
     def worker_rows(self) -> List[Dict[str, object]]:
-        """Per-worker state for ``/stats`` and the metrics mirrors."""
+        """Per-worker state for ``/stats`` and the per-worker metrics."""
         rows: List[Dict[str, object]] = []
         for worker_id in range(self.workers):
             process = self._procs[worker_id]
@@ -305,11 +307,9 @@ class WorkerPool:
                 time.perf_counter() - task.dispatched_s  # sim-lint: ignore[SIM-D004]
         if not task.future.done():
             if ok:
-                self.computed += 1
                 self.worker_done[worker_id] += 1
                 task.future.set_result(payload)
             else:
-                self.failed += 1
                 self.worker_failed[worker_id] += 1
                 task.future.set_exception(CellFailed(str(payload)))
         self._pump()
@@ -325,7 +325,6 @@ class WorkerPool:
                 exitcode = process.exitcode
                 task = self._inflight.pop(worker_id, None)
                 if task is not None:
-                    self.failed += 1
                     self.worker_failed[worker_id] += 1
                     if task.dispatched_s is not None:
                         self.worker_busy_s[worker_id] += \
@@ -336,7 +335,6 @@ class WorkerPool:
                             f"while computing {task.cell.benchmark} x "
                             f"{task.cell.label or 'cell'} "
                             f"seed {task.cell.seed}"))
-                self.respawns += 1
                 self.worker_respawns[worker_id] += 1
                 self._spawn(worker_id)
                 self._pump()

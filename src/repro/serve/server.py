@@ -47,12 +47,13 @@ import sys
 import time
 import urllib.parse
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.harness.engine import CellResult, ResultCache, SweepEngine, \
     default_cache_dir
 from repro.obs.metrics import stream_points
-from repro.obs.telemetry import build_tree, parse_trace_header
+from repro.obs.telemetry import Counter, Gauge, build_tree, \
+    parse_trace_header
 from repro.obs.telemetry.spans import Span
 from repro.serve.jobs import Busy, CellRecord, Job, JobStore
 from repro.serve.scheduler import WorkerPool
@@ -135,16 +136,13 @@ class ServeApp:
         self.flights = SingleFlight()
         self.pool = WorkerPool(workers=self.config.workers,
                                cache_dir=cache_dir)
+        #: Cells whose serving has started (the other cell counts are
+        #: ``telemetry.cells``, by source).
+        self.cells_requested = 0
         self.telemetry = FleetTelemetry(
-            echo=sys.stdout if self.config.echo_logs else None)
+            self, echo=sys.stdout if self.config.echo_logs else None)
         self._server: Optional[asyncio.AbstractServer] = None
         self.port = self.config.port
-        # Serving counters (the /stats payload and the bench's inputs).
-        self.cells_requested = 0
-        self.cells_cache = 0
-        self.cells_computed = 0
-        self.cells_coalesced = 0
-        self.cells_failed = 0
 
     # -- lifecycle --------------------------------------------------------
 
@@ -246,16 +244,15 @@ class ServeApp:
             record.error = f"{type(error).__name__}: {error}"
             record.service_ms = round(
                 (time.perf_counter() - started) * 1000.0, 3)  # sim-lint: ignore[SIM-D004]
-            self.cells_failed += 1
             job.failed_cells += 1
             tracer.finish(flight_span, status="error")
             tele.cells.inc(source="failed")
             tele.cell_service_ms.observe(record.service_ms,
                                          source="failed")
-            tele.log("error", "cell.failed", trace=job.trace_id,
-                     job=job.id, cell=record.index,
-                     benchmark=record.cell.benchmark,
-                     label=record.cell.label, error=record.error)
+            tele.ring.log("error", "cell.failed", trace=job.trace_id,
+                          job=job.id, cell=record.index,
+                          benchmark=record.cell.benchmark,
+                          label=record.cell.label, error=record.error)
         else:
             if not led:
                 source = "coalesced"
@@ -268,20 +265,15 @@ class ServeApp:
             record.sim_s = round(outcome.sim_s, 6)
             record.service_ms = round(
                 (time.perf_counter() - started) * 1000.0, 3)  # sim-lint: ignore[SIM-D004]
-            if source == "cache":
-                self.cells_cache += 1
-            elif source == "computed":
-                self.cells_computed += 1
-            else:
-                self.cells_coalesced += 1
             job.done_cells += 1
             tracer.finish(flight_span, source=source, coalesced=not led)
             tele.cells.inc(source=source)
             tele.cell_service_ms.observe(record.service_ms, source=source)
-            tele.log("info", "cell.done", trace=job.trace_id, job=job.id,
-                     cell=record.index, benchmark=record.cell.benchmark,
-                     label=record.cell.label, source=source,
-                     ipc=record.ipc, service_ms=record.service_ms)
+            tele.ring.log("info", "cell.done", trace=job.trace_id,
+                          job=job.id, cell=record.index,
+                          benchmark=record.cell.benchmark,
+                          label=record.cell.label, source=source,
+                          ipc=record.ipc, service_ms=record.service_ms)
         event = {"event": "cell", "job": job.id, **record.row()}
         if record.status == "done" and outcome is not None \
                 and outcome.obs is not None:
@@ -299,8 +291,8 @@ class ServeApp:
     async def _run_job(self, job: Job) -> None:
         tele = self.telemetry
         job.state = "running"
-        tele.log("info", "job.start", trace=job.trace_id, job=job.id,
-                 n_cells=len(job.records))
+        tele.ring.log("info", "job.start", trace=job.trace_id, job=job.id,
+                      n_cells=len(job.records))
         await job.publish({"event": "job", **job.summary()})
         await asyncio.gather(*[self._run_cell(job, record)
                                for record in job.records])
@@ -312,9 +304,9 @@ class ServeApp:
             tele.tracer.finish(root, end_s=job.finished_s, status="done",
                                done=job.done_cells,
                                failed=job.failed_cells)
-        tele.log("info", "job.done", trace=job.trace_id, job=job.id,
-                 done=job.done_cells, failed=job.failed_cells,
-                 elapsed_s=job.summary()["elapsed_s"])
+        tele.ring.log("info", "job.done", trace=job.trace_id, job=job.id,
+                      done=job.done_cells, failed=job.failed_cells,
+                      elapsed_s=job.summary()["elapsed_s"])
 
     # -- HTTP plumbing ----------------------------------------------------
 
@@ -331,9 +323,9 @@ class ServeApp:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         except Exception as error:  # noqa: BLE001 — a request must not kill the server
-            self.telemetry.log("error", "http.error",
-                               method=method, target=target,
-                               error=f"{type(error).__name__}: {error}")
+            self.telemetry.ring.log(
+                "error", "http.error", method=method, target=target,
+                error=f"{type(error).__name__}: {error}")
             try:
                 self._write_json(writer, 500,
                                  {"error": f"{type(error).__name__}: "
@@ -347,9 +339,9 @@ class ServeApp:
                     route=_route_of(method, target), method=method,
                     status=str(status) if status else "aborted")
                 if status >= 400:
-                    self.telemetry.log("warning", "http.rejected",
-                                       method=method, target=target,
-                                       status=status)
+                    self.telemetry.ring.log("warning", "http.rejected",
+                                            method=method, target=target,
+                                            status=status)
             try:
                 writer.close()
             except RuntimeError:
@@ -412,7 +404,7 @@ class ServeApp:
         elif path == "/stats" and method == "GET":
             self._write_json(writer, 200, self.stats())
         elif path == "/metrics" and method == "GET":
-            self._write_text(writer, 200, self.telemetry.render(self))
+            self._write_text(writer, 200, self.telemetry.registry.render())
         elif path == "/logs" and method == "GET":
             self._logs(query, writer)
         elif path == "/jobs" and method == "POST":
@@ -454,9 +446,9 @@ class ServeApp:
                     payload_extra: Optional[Dict[str, object]] = None,
                     ) -> None:
             tracer.finish(submit_span, status="rejected", http=status)
-            tele.log("warning", "submit.rejected",
-                     trace=submit_span.trace_id, status=status,
-                     error=message)
+            tele.ring.log("warning", "submit.rejected",
+                          trace=submit_span.trace_id, status=status,
+                          error=message)
             reply: Dict[str, object] = {"error": message}
             reply.update(payload_extra or {})
             self._write_json(writer, status, reply, extra_headers=extra)
@@ -595,36 +587,43 @@ class ServeApp:
     # -- introspection ----------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
+        """The ``/stats`` body.  Each single count ``/metrics`` also
+        reports is read through its registry metric, so the two cannot
+        disagree; per-worker rows, log records by level and what only
+        ``/stats`` shows are read from their owner."""
+        tele = self.telemetry
         cache = self.engine.cache
-        ring = self.telemetry.ring
+        ring = tele.ring
+
+        def count(metric: Union[Counter, Gauge], **labels: object) -> int:
+            return int(metric.value(**labels))
+
         return {
-            "jobs": {"active": self.store.active(),
+            "jobs": {"active": count(tele.jobs_active),
                      "total": self.store.total(),
-                     "rejected": self.store.rejected,
+                     "rejected": count(tele.jobs_rejected),
                      "max_active": self.store.max_active},
             "cells": {"requested": self.cells_requested,
-                      "cache": self.cells_cache,
-                      "computed": self.cells_computed,
-                      "coalesced": self.cells_coalesced,
-                      "failed": self.cells_failed},
-            "singleflight": {"leaders": self.flights.leaders,
-                             "joined": self.flights.joined,
-                             "inflight": self.flights.inflight(),
+                      **{source: count(tele.cells, source=source)
+                         for source in ("cache", "computed", "coalesced",
+                                        "failed")}},
+            "singleflight": {"leaders": count(tele.singleflight,
+                                              role="leader"),
+                             "joined": count(tele.singleflight,
+                                             role="joined"),
+                             "inflight": count(tele.singleflight_inflight),
                              "peak_inflight": self.flights.peak_inflight},
             "pool": {"workers": self.pool.workers,
-                     "steals": self.pool.steals,
-                     "respawns": self.pool.respawns,
-                     "pending": self.pool.pending(),
+                     "steals": count(tele.pool_steals),
+                     "respawns": count(tele.pool_respawns),
+                     "pending": count(tele.pool_pending),
                      "backlogs": self.pool.backlogs(),
                      "worker_state": self.pool.worker_rows()},
             "cache": {"enabled": cache is not None,
                       "dir": str(cache.root) if cache is not None else None,
-                      "hits": cache.hits if cache is not None else 0,
-                      "misses": cache.misses if cache is not None else 0,
-                      # Coordinator stores + one per computed cell (the
-                      # workers store from their own processes).
-                      "stores": (cache.stores + self.cells_computed)
-                      if cache is not None else 0,
+                      "hits": count(tele.cache_hits),
+                      "misses": count(tele.cache_misses),
+                      "stores": count(tele.cache_stores),
                       "hit_s": round(cache.hit_s, 6)
                       if cache is not None else 0.0,
                       "miss_s": round(cache.miss_s, 6)
@@ -632,11 +631,11 @@ class ServeApp:
                       "store_s": round(cache.store_s, 6)
                       if cache is not None else 0.0},
             "telemetry": {
-                "spans_started": self.telemetry.tracer.started,
-                "spans_finished": self.telemetry.tracer.finished,
+                "spans_started": tele.tracer.started,
+                "spans_finished": count(tele.spans_finished),
                 "log_records": dict(ring.counts),
                 "logs_dropped": ring.dropped,
-                "heartbeats": int(self.telemetry.heartbeats.value()),
+                "heartbeats": count(tele.heartbeats),
                 "heartbeat_s": self.config.heartbeat_s},
         }
 
@@ -654,7 +653,7 @@ def run_server(config: Optional[ServeConfig] = None) -> None:
         app = ServeApp(config)
         await app.start()
         cache = app.engine.cache
-        app.telemetry.log(
+        app.telemetry.ring.log(
             "info", "serve.start",
             url=f"http://{app.config.host}:{app.port}",
             workers=app.pool.workers,

@@ -5,24 +5,22 @@ ServeApp` owns the span tracer, the metrics registry (with the full
 metric catalog declared up front — see ``docs/TELEMETRY.md``), and the
 structured-log ring.
 
-Two instrumentation styles coexist deliberately:
-
-* **hot-path increments** — request/cell/heartbeat counters and the
-  latency histograms are bumped inline where the event happens;
-* **scrape-time mirrors** — subsystems that already keep authoritative
-  counters (worker pool, single-flight table, job store, result cache)
-  are *mirrored* into the exposition in :meth:`FleetTelemetry.refresh`,
-  so the hot paths stay untouched and the numbers can never drift from
-  ``/stats``.
+Every count has one store.  What the server observes itself —
+requests, admissions, cells by source, heartbeats and latencies — is
+stored in the registry, bumped inline where the event happens.  What a
+subsystem already keeps (worker pool, single-flight table, job store,
+result cache, span tracer, log ring) stays there: its metric reads it
+at render time, and ``/stats`` reads the same metric, so the two
+endpoints cannot disagree.
 
 Everything here is coordinator-side: worker processes keep their own
 result caches and report nothing — their contribution is visible as
-the ``worker.exec`` span and the per-worker pool gauges.
+the ``worker.exec`` span and the per-worker pool series.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, TextIO
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, TextIO
 
 from repro.obs.telemetry import (
     LogRing,
@@ -31,15 +29,27 @@ from repro.obs.telemetry import (
     SpanTracer,
 )
 
+if TYPE_CHECKING:
+    from repro.serve.server import ServeApp
+
 
 class FleetTelemetry:
     """Tracer + registry + log ring, plus the serve metric catalog."""
 
-    def __init__(self, echo: Optional[TextIO] = None) -> None:
+    def __init__(self, app: ServeApp,
+                 echo: Optional[TextIO] = None) -> None:
         self.tracer = SpanTracer()
         self.registry = MetricsRegistry()
         self.ring = LogRing(echo=echo)
         registry = self.registry
+        store = app.store
+        flights = app.flights
+        pool = app.pool
+        cache = app.engine.cache
+
+        def per_worker(field: str) -> Callable[[], Dict[Any, Any]]:
+            return lambda: {row["id"]: row[field]
+                            for row in pool.worker_rows()}
 
         # -- admission / HTTP ------------------------------------------
         self.http_requests = registry.counter(
@@ -49,9 +59,11 @@ class FleetTelemetry:
             "repro_jobs_admitted_total", "Jobs accepted by admission")
         self.jobs_rejected = registry.counter(
             "repro_jobs_rejected_total",
-            "Admissions refused with 429 (the backpressure rate)")
+            "Admissions refused with 429 (the backpressure rate)",
+            read=lambda: store.rejected)
         self.jobs_active = registry.gauge(
-            "repro_jobs_active", "Jobs currently queued or running")
+            "repro_jobs_active", "Jobs currently queued or running",
+            read=store.active)
 
         # -- cells / cache ---------------------------------------------
         self.cells = registry.counter(
@@ -66,48 +78,67 @@ class FleetTelemetry:
             "repro_cache_probe_ms",
             "Inline result-cache probe latency by outcome, milliseconds",
             ("result",), buckets=PROBE_BUCKETS_MS)
+        # Without a disk cache these three have no samples (and read 0).
         self.cache_hits = registry.counter(
-            "repro_cache_hits_total", "Result-cache probe hits")
+            "repro_cache_hits_total", "Result-cache probe hits",
+            read=None if cache is None else lambda: cache.hits)
         self.cache_misses = registry.counter(
-            "repro_cache_misses_total", "Result-cache probe misses")
+            "repro_cache_misses_total", "Result-cache probe misses",
+            read=None if cache is None else lambda: cache.misses)
+        # Worker-side stores are invisible to the coordinator's
+        # ResultCache, but every computed cell stored exactly once.
         self.cache_stores = registry.counter(
             "repro_cache_stores_total",
             "Results written to the cache (coordinator stores plus one "
-            "per computed cell — workers store from their own process)")
+            "per computed cell — workers store from their own process)",
+            read=None if cache is None else lambda: (
+                cache.stores + self.cells.value(source="computed")))
 
         # -- coalescing -------------------------------------------------
         self.singleflight = registry.counter(
             "repro_singleflight_total",
-            "Single-flight outcomes (role=leader|joined)", ("role",))
+            "Single-flight outcomes (role=leader|joined)", ("role",),
+            read=lambda: {"leader": flights.leaders,
+                          "joined": flights.joined})
         self.singleflight_inflight = registry.gauge(
             "repro_singleflight_inflight",
-            "Computations currently in the single-flight table")
+            "Computations currently in the single-flight table",
+            read=flights.inflight)
         self.coalescing_ratio = registry.gauge(
             "repro_coalescing_ratio",
             "Fraction of requested cells served by joining another "
-            "request's flight")
+            "request's flight",
+            read=lambda: round(self.cells.value(source="coalesced")
+                               / max(app.cells_requested, 1), 6))
 
         # -- worker pool ------------------------------------------------
         self.pool_steals = registry.counter(
             "repro_pool_steals_total",
-            "Tasks stolen from another worker's backlog")
+            "Tasks stolen from another worker's backlog",
+            read=lambda: pool.steals)
         self.pool_respawns = registry.counter(
             "repro_pool_respawns_total",
-            "Workers respawned after a crash")
+            "Workers respawned after a crash",
+            read=lambda: sum(pool.worker_respawns))
         self.pool_pending = registry.gauge(
-            "repro_pool_pending", "Tasks queued or in flight in the pool")
+            "repro_pool_pending", "Tasks queued or in flight in the pool",
+            read=pool.pending)
         self.pool_backlog = registry.gauge(
             "repro_pool_backlog_depth", "Queued tasks per worker",
-            ("worker",))
+            ("worker",), read=per_worker("backlog"))
         self.worker_busy = registry.gauge(
             "repro_pool_worker_busy",
-            "1 when the worker is computing a cell, else 0", ("worker",))
+            "1 when the worker is computing a cell, else 0", ("worker",),
+            read=lambda: {row["id"]: int(row["state"] == "busy")
+                          for row in pool.worker_rows()})
         self.worker_busy_s = registry.counter(
             "repro_pool_worker_busy_seconds_total",
-            "Seconds each worker spent computing cells", ("worker",))
+            "Seconds each worker spent computing cells", ("worker",),
+            read=per_worker("busy_s"))
         self.worker_cells = registry.counter(
             "repro_pool_worker_cells_total",
-            "Cells each worker finished successfully", ("worker",))
+            "Cells each worker finished successfully", ("worker",),
+            read=per_worker("done"))
 
         # -- streams / telemetry self-accounting -----------------------
         self.heartbeats = registry.counter(
@@ -115,64 +146,7 @@ class FleetTelemetry:
             "Heartbeat records emitted on progress streams")
         self.log_records = registry.counter(
             "repro_log_records_total", "Structured log records by level",
-            ("level",))
+            ("level",), read=lambda: self.ring.counts)
         self.spans_finished = registry.counter(
-            "repro_spans_finished_total", "Spans finished by the tracer")
-
-    # -- logging ----------------------------------------------------------
-
-    def log(self, level: str, event: str, *,
-            trace: Optional[str] = None, job: Optional[str] = None,
-            cell: Optional[int] = None, **fields: object) -> None:
-        self.ring.log(level, event, trace=trace, job=job, cell=cell,
-                      **fields)
-        self.log_records.inc(level=level)
-
-    # -- scrape-time mirroring --------------------------------------------
-
-    def refresh(self, app: Any) -> None:
-        """Mirror live subsystem counters into the exposition.
-
-        ``app`` is the owning ServeApp (duck-typed to avoid an import
-        cycle).  Called on every ``/metrics`` scrape and by ``stats``.
-        """
-        store = app.store
-        self.jobs_active.set(store.active())
-        self.jobs_rejected.set_total(store.rejected)
-
-        flights = app.flights
-        self.singleflight.set_total(flights.leaders, role="leader")
-        self.singleflight.set_total(flights.joined, role="joined")
-        self.singleflight_inflight.set(flights.inflight())
-        requested = max(app.cells_requested, 1)
-        self.coalescing_ratio.set(
-            round(app.cells_coalesced / requested, 6))
-
-        pool = app.pool
-        self.pool_steals.set_total(pool.steals)
-        self.pool_respawns.set_total(pool.respawns)
-        self.pool_pending.set(pool.pending())
-        for row in pool.worker_rows():
-            worker = str(row["id"])
-            self.pool_backlog.set(int(row["backlog"]), worker=worker)
-            self.worker_busy.set(1 if row["state"] == "busy" else 0,
-                                 worker=worker)
-            self.worker_busy_s.set_total(float(row["busy_s"]),
-                                         worker=worker)
-            self.worker_cells.set_total(int(row["done"]), worker=worker)
-
-        cache = app.engine.cache
-        if cache is not None:
-            self.cache_hits.set_total(cache.hits)
-            self.cache_misses.set_total(cache.misses)
-            # Worker-side stores are invisible to the coordinator's
-            # ResultCache, but every computed cell stored exactly once.
-            self.cache_stores.set_total(cache.stores
-                                        + app.cells_computed)
-
-        self.spans_finished.set_total(self.tracer.finished)
-
-    def render(self, app: Any) -> str:
-        """The ``GET /metrics`` body (refreshes mirrors first)."""
-        self.refresh(app)
-        return self.registry.render()
+            "repro_spans_finished_total", "Spans finished by the tracer",
+            read=lambda: self.tracer.finished)

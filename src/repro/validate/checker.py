@@ -4,7 +4,7 @@ A :class:`ValidationChecker` attaches to one
 :class:`~repro.pipeline.processor.Processor` run and validates it on
 two levels:
 
-1. **Memory-model oracle** (``oracle=True``) — every *committed* load
+1. **Memory-model oracle** — every *committed* load
    is checked against the golden sequential replay
    (:class:`~repro.validate.oracle.MemoryOracle`): the store it
    actually observed (forwarding store, or the youngest committed store
@@ -15,7 +15,7 @@ two levels:
    the machine raises a violation whenever an older load executes
    after a younger overlapping load already obtained its value.
 
-2. **Cycle-level invariants** (``invariants=True``) — after each
+2. **Cycle-level invariants** — after each
    simulated cycle the structural invariants of
    :mod:`repro.validate.invariants` must hold.
 
@@ -62,13 +62,10 @@ MAX_RECORDED_FAILURES = 512
 class ValidationChecker:
     """Oracle + invariant cross-checking for one simulation run."""
 
-    def __init__(self, *, oracle: bool = True, invariants: bool = True,
-                 raise_on_error: bool = True,
+    def __init__(self, *, raise_on_error: bool = True,
                  invariant_interval: int = 1) -> None:
         if invariant_interval < 1:
             raise ValueError("invariant_interval must be >= 1")
-        self.use_oracle = oracle
-        self.use_invariants = invariants
         self.raise_on_error = raise_on_error
         self.invariant_interval = invariant_interval
         self.failures: List[ValidationFailure] = []
@@ -109,7 +106,7 @@ class ValidationChecker:
         self.checked_loads = 0
         self.checked_cycles = 0
         self.load_verdicts = {}
-        self.oracle = MemoryOracle(trace) if self.use_oracle else None
+        self.oracle = MemoryOracle(trace)
         if processor.tracer is None:
             # Keep a rolling last-64-instruction pipetrace so every
             # diagnostic bundle has one.
@@ -170,8 +167,6 @@ class ValidationChecker:
 
     def on_load_executed(self, load, violation) -> None:
         """Record the observed source; check load-load enforcement."""
-        if self.oracle is None:
-            return
         if load.forwarded_from is not None:
             source = self._store_trace.get(load.forwarded_from)
             if source is None:
@@ -205,8 +200,6 @@ class ValidationChecker:
                 return  # oldest younger match decides
 
     def on_commit(self, inst) -> None:
-        if self.oracle is None:
-            return
         if inst.trace_index != self._commit_index:
             self._fail(
                 "commit-order", inst.seq, inst.trace_index,
@@ -254,8 +247,6 @@ class ValidationChecker:
                              if s < seq}
 
     def end_cycle(self) -> None:
-        if not self.use_invariants:
-            return
         cycle = self.processor.cycle
         if cycle % self.invariant_interval:
             self._unscanned = True
@@ -274,8 +265,6 @@ class ValidationChecker:
         without running.  Only when ``invariant_interval`` left that
         last state unscanned does the window's first due scan run.
         """
-        if not self.use_invariants:
-            return
         interval = self.invariant_interval
         first = start + (-start) % interval
         if first >= stop:

@@ -87,7 +87,6 @@ class TestDiskCache:
         second = SweepEngine(cache=ResultCache(tmp_path))
         cached = second.run_cell(cell())
         assert not fresh.cached and cached.cached
-        assert second.simulated == 0
         assert stats_of(fresh) == stats_of(cached)
 
     def test_corrupt_entry_is_a_miss_and_repaired(self, tmp_path):
@@ -103,9 +102,7 @@ class TestDiskCache:
 
     def test_no_cache_engine_always_simulates(self, tmp_path):
         engine = SweepEngine(cache=None)
-        engine.run_cell(cell())
-        engine.run_cell(cell())
-        assert engine.simulated == 2
+        assert not any(engine.run_cell(cell()).cached for _ in range(2))
 
     def test_two_runner_identities_do_not_collide(self, tmp_path):
         """Cells differing only in seed or run length sharing one cache
@@ -116,7 +113,7 @@ class TestDiskCache:
         a = engine.run_cell(cell(seed=0))
         b = engine.run_cell(cell(seed=3))
         c = engine.run_cell(cell(n_instructions=1200))
-        assert engine.simulated == 3
+        assert not (a.cached or b.cached or c.cached)
         assert stats_of(a) != stats_of(b)
         assert c.result.stats.committed > a.result.stats.committed
 
@@ -266,8 +263,8 @@ class TestParallel:
         warm.run_cell(cells[0])
         engine = SweepEngine(jobs=2, cache=ResultCache(tmp_path))
         results = engine.run_cells(cells)
-        assert results[0].cached
-        assert engine.simulated == len(cells) - 1
+        assert [r.cached for r in results] \
+            == [True] + [False] * (len(cells) - 1)
         assert engine.cache.hits == 1
 
     def test_progress_callback_sees_every_cell(self):
@@ -419,7 +416,7 @@ class TestObsCache:
         traced = engine.run_cell(dataclasses.replace(cell(),
                                                      obs=ObsConfig()))
         plain = engine.run_cell(cell())
-        assert engine.simulated == 2  # second run was a genuine miss
+        assert not plain.cached  # a genuine miss
         assert traced.obs is not None and plain.obs is None
         assert stats_of(traced) == stats_of(plain)  # obs parity holds too
 

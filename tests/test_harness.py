@@ -57,22 +57,34 @@ def trace_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def sim_calls(monkeypatch):
+    """The machine of every simulation the engine runs."""
+    calls = []
+    real = engine_module.simulate
+
+    def counting(trace, machine, **kwargs):
+        calls.append(machine)
+        return real(trace, machine, **kwargs)
+
+    monkeypatch.setattr(engine_module, "simulate", counting)
+    return calls
+
+
 def gzip_cell(**overrides):
     return Cell(**{"benchmark": "gzip", "machine": base_machine(),
                    "n_instructions": 600, **overrides})
 
 
 class TestRunner:
-    def test_result_cached(self, tmp_path):
+    def test_result_cached(self, tmp_path, sim_calls):
         """A point declared twice runs once, and a second batch over the
         same cache simulates nothing."""
         cells = [gzip_cell(), gzip_cell(label="again")]
-        first = SweepEngine(cache=ResultCache(tmp_path))
-        fresh = run_batch(cells, first)
-        assert first.simulated == 1 and len(fresh) == 1
-        second = SweepEngine(cache=ResultCache(tmp_path))
-        cached = run_batch(cells, second)
-        assert second.simulated == 0
+        fresh = run_batch(cells, SweepEngine(cache=ResultCache(tmp_path)))
+        assert len(sim_calls) == 1 and len(fresh) == 1
+        cached = run_batch(cells, SweepEngine(cache=ResultCache(tmp_path)))
+        assert len(sim_calls) == 1
         assert [r.cached for r in cached.values()] == [True]
 
     def test_different_configs_not_conflated(self):
@@ -95,23 +107,23 @@ class TestRunner:
 
 
 class TestOneBatch:
-    def test_all_figures_generate_each_trace_once(self, trace_calls):
+    def test_all_figures_generate_each_trace_once(self, trace_calls,
+                                                  sim_calls):
         declared = [machine
                     for experiment in figures.ALL_EXPERIMENTS.values()
                     for machine in experiment.columns.values()]
         distinct = {Cell(benchmark="gzip", machine=machine).digest()
                     for machine in declared}
         assert (len(declared), len(distinct)) == (34, 21)
-        engine = SweepEngine()
-        run_experiments(ALL, ("gzip", "mgrid"), 150, engine)
+        run_experiments(ALL, ("gzip", "mgrid"), 150, SweepEngine())
         assert sorted(trace_calls) == [("gzip", 150, 0), ("mgrid", 150, 0)]
-        assert engine.simulated == 21 * 2
+        assert len(sim_calls) == 21 * 2
 
-    def test_one_figure_simulates_only_its_own_cells(self, trace_calls):
-        engine = SweepEngine()
-        run_experiments(["fig8"], ("gzip", "mgrid"), 150, engine)
+    def test_one_figure_simulates_only_its_own_cells(self, trace_calls,
+                                                     sim_calls):
+        run_experiments(["fig8"], ("gzip", "mgrid"), 150, SweepEngine())
         assert len(trace_calls) == 2
-        assert engine.simulated == 2 * 2
+        assert len(sim_calls) == 2 * 2
 
     def test_batch_reproduces_pinned_text(self):
         text = run_experiments(ALL, ("gzip", "vortex", "mgrid", "equake"),

@@ -113,6 +113,19 @@ class TestSpec:
             == [c.digest() for c in expected]
         assert [c.label for c in cells] == [c.label for c in expected]
 
+    def test_timeline_rebuilds_every_served_machine(self):
+        """``repro timeline`` re-simulates the machine the server ran:
+        each label expand_cells writes maps back to that cell's machine."""
+        from repro.cli import PRESETS
+        from repro.obs.telemetry.timeline import machine_for_label
+
+        for ports in (1, 2):
+            cells = expand_cells(parse_spec(spec_payload(
+                presets=sorted(PRESETS), ports=ports)))
+            assert len(cells) == len(PRESETS)
+            for cell in cells:
+                assert machine_for_label(cell.label) == cell.machine
+
     def test_smoke_spec_parses(self):
         spec = parse_spec(smoke_spec())
         assert spec.n_cells == 4
@@ -201,7 +214,8 @@ class TestWorkerPool:
             await pool.start()
             try:
                 return await asyncio.gather(
-                    *[pool.submit(cell) for cell in cells]), pool.computed
+                    *[pool.submit(cell) for cell in cells]), \
+                    sum(pool.worker_done)
             finally:
                 await pool.close()
 
@@ -226,7 +240,7 @@ class TestWorkerPool:
                     return_exceptions=True)
                 # the fleet healed: a fresh cell still computes
                 after = await pool.submit(cells[2])
-                return results, after, pool.respawns
+                return results, after, sum(pool.worker_respawns)
             finally:
                 await pool.close()
 
@@ -236,6 +250,27 @@ class TestWorkerPool:
         assert kinds.count("CellResult") == 2
         assert respawns >= 1
         assert after.result.stats.committed > 0
+
+    def test_workers_key_cells_under_the_coordinators_version(
+            self, tmp_path, monkeypatch):
+        """A worker stores a cell where the coordinator probes for it,
+        even when the two would hash different code versions."""
+        monkeypatch.delenv("REPRO_CODE_VERSION", raising=False)
+        monkeypatch.setattr("repro.harness.engine._code_version",
+                            "pinned-by-test")
+        cell = expand_cells(parse_spec(spec_payload()))[0]
+
+        async def scenario():
+            pool = WorkerPool(workers=1, cache_dir=tmp_path / "cache")
+            await pool.start()
+            try:
+                return await pool.submit(cell)
+            finally:
+                await pool.close()
+
+        assert not asyncio.run(scenario()).cached
+        engine = SweepEngine(cache=ResultCache(tmp_path / "cache"))
+        assert engine.probe_cell(cell) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +428,6 @@ class TestEngineAsyncApi:
         assert probed is not None and probed.cached
         assert probed.ipc == computed.ipc
         assert probed.result.stats.cycles == computed.result.stats.cycles
-
-    def test_run_cell_async_matches_sync(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        engine = SweepEngine(jobs=1, cache=cache)
-        cell = expand_cells(parse_spec(spec_payload()))[0]
-
-        first = asyncio.run(engine.run_cell_async(cell))
-        assert not first.cached
-        second = asyncio.run(engine.run_cell_async(cell))
-        assert second.cached
-        assert second.ipc == first.ipc
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ def dyn_store(seq, pc=0x2000, addr=0x40):
 
 @pytest.fixture
 def predictor():
-    return PairPredictor(StoreSetConfig(), SimStats(), PredictorMode.PAIR,
-                         clear_interval=0)
+    return PairPredictor(StoreSetConfig(clear_interval=0), SimStats(),
+                         PredictorMode.PAIR)
 
 
 class TestTraining:
@@ -63,8 +63,8 @@ class TestTraining:
         assert a.ssid == b.ssid
 
     def test_train_pair_noop_in_conventional_mode(self):
-        conv = PairPredictor(StoreSetConfig(), SimStats(),
-                             PredictorMode.CONVENTIONAL, clear_interval=0)
+        conv = PairPredictor(StoreSetConfig(clear_interval=0), SimStats(),
+                             PredictorMode.CONVENTIONAL)
         conv.train_pair(0x1000, 0x2000)
         ld = dyn_load(1, pc=0x1000)
         conv.on_load_dispatch(ld)
@@ -142,8 +142,8 @@ class TestLifecycle:
         assert not predictor.should_search(ld)
 
     def test_conventional_mode_always_searches(self):
-        conv = PairPredictor(StoreSetConfig(), SimStats(),
-                             PredictorMode.CONVENTIONAL, clear_interval=0)
+        conv = PairPredictor(StoreSetConfig(clear_interval=0), SimStats(),
+                             PredictorMode.CONVENTIONAL)
         ld = dyn_load(1)
         conv.on_load_dispatch(ld)
         assert conv.should_search(ld)
@@ -163,9 +163,8 @@ class TestAliasing:
 
     def test_ideal_tables_do_not_alias(self):
         from repro.workload.synthetic import colliding_pc
-        aggressive = PairPredictor(StoreSetConfig(), SimStats(),
-                                   PredictorMode.AGGRESSIVE,
-                                   clear_interval=0)
+        aggressive = PairPredictor(StoreSetConfig(clear_interval=0),
+                                   SimStats(), PredictorMode.AGGRESSIVE)
         leader = 0x1000
         other = colliding_pc(leader, member=1)
         aggressive.train_violation(leader, 0x2000)
@@ -176,8 +175,8 @@ class TestAliasing:
 
 class TestClearing:
     def test_clear_forgets(self):
-        predictor = PairPredictor(StoreSetConfig(), SimStats(),
-                                  PredictorMode.PAIR, clear_interval=100)
+        predictor = PairPredictor(StoreSetConfig(clear_interval=100),
+                                  SimStats(), PredictorMode.PAIR)
         predictor.train_violation(0x1000, 0x2000)
         predictor.maybe_clear(committed=100)
         ld = dyn_load(1, pc=0x1000)
@@ -185,8 +184,8 @@ class TestClearing:
         assert not ld.predicted_dependent
 
     def test_no_clear_before_interval(self):
-        predictor = PairPredictor(StoreSetConfig(), SimStats(),
-                                  PredictorMode.PAIR, clear_interval=100)
+        predictor = PairPredictor(StoreSetConfig(clear_interval=100),
+                                  SimStats(), PredictorMode.PAIR)
         predictor.train_violation(0x1000, 0x2000)
         predictor.maybe_clear(committed=99)
         ld = dyn_load(1, pc=0x1000)
@@ -194,8 +193,8 @@ class TestClearing:
         assert ld.predicted_dependent
 
     def test_interval_zero_disables(self):
-        predictor = PairPredictor(StoreSetConfig(), SimStats(),
-                                  PredictorMode.PAIR, clear_interval=0)
+        predictor = PairPredictor(StoreSetConfig(clear_interval=0),
+                                  SimStats(), PredictorMode.PAIR)
         predictor.train_violation(0x1000, 0x2000)
         predictor.maybe_clear(committed=10 ** 9)
         ld = dyn_load(1, pc=0x1000)

@@ -163,14 +163,52 @@ class TestRegistry:
 
         assert build() == build()
 
-    def test_set_total_never_decreases(self):
+    def test_counter_never_decreases(self):
         registry = MetricsRegistry()
         counter = registry.counter("c_total", "c")
-        counter.set_total(5)
-        counter.set_total(3)  # stale mirror read must not roll back
-        assert counter.value() == 5
         with pytest.raises(ValueError):
             counter.inc(-1)
+
+    def test_read_through_metrics_show_the_owners_value(self):
+        """A metric with ``read`` stores nothing: render() and value()
+        show whatever its owner holds at that moment."""
+        owner = {"total": 3, "depth": 2, "by_role": {"leader": 4}}
+        registry = MetricsRegistry()
+        total = registry.counter("owned_total", "owned",
+                                 read=lambda: owner["total"])
+        by_role = registry.counter("roles_total", "roles", ("role",),
+                                   read=lambda: owner["by_role"])
+        depth = registry.gauge("depth", "depth",
+                               read=lambda: owner["depth"])
+        workers = registry.gauge(
+            "busy", "busy", ("worker",),
+            read=lambda: {1: owner["depth"] - 2, 0: owner["depth"]})
+        for _ in range(2):
+            owner["total"] += 5
+            owner["depth"] -= 1
+            owner["by_role"]["joined"] = owner["total"] * 2
+            scrape = parse_prometheus_text(registry.render())
+            assert scrape.samples["owned_total"] == owner["total"]
+            assert scrape.samples["depth"] == owner["depth"]
+            assert scrape.samples['roles_total{role="leader"}'] == 4
+            assert scrape.samples['roles_total{role="joined"}'] \
+                == owner["total"] * 2
+            assert scrape.samples['busy{worker="0"}'] == owner["depth"]
+            assert scrape.samples['busy{worker="1"}'] \
+                == owner["depth"] - 2
+            assert total.value() == owner["total"]
+            assert depth.value() == owner["depth"]
+            assert by_role.value(role="joined") == owner["total"] * 2
+            assert by_role.value(role="absent") == 0
+            assert workers.value(worker=0) == owner["depth"]
+        # Label sets render sorted, whatever order the owner keeps.
+        assert [key for key in scrape.samples if key.startswith("busy")] \
+            == ['busy{worker="0"}', 'busy{worker="1"}']
+        # The owner keeps the value; writing it here is an error.
+        with pytest.raises(TypeError):
+            total.inc()
+        with pytest.raises(TypeError):
+            depth.set(1)
 
     def test_kind_mismatch_rejected(self):
         registry = MetricsRegistry()
@@ -433,6 +471,80 @@ class TestTelemetryEndToEnd:
         tele = stats["telemetry"]
         assert tele["spans_finished"] >= tele["spans_started"] - 4
         assert stats["cache"]["stores"] >= 1
+
+    def test_stats_and_metrics_report_one_store(self, client):
+        """/stats keeps its key tree, and every count it shares with
+        /metrics reads the same there: both render from one store."""
+        job = client.submit(spec_payload(benchmarks=["gzip", "mgrid"],
+                                         seeds=[43]))
+        client.wait(str(job["id"]), stall_after_s=30.0)
+        samples = parse_prometheus_text(client.metrics()).samples
+        stats = client.stats()
+
+        def keys(tree):
+            return {key: keys(value) if isinstance(value, dict) else None
+                    for key, value in tree.items()}
+
+        row_keys = {"alive", "backlog", "benchmark", "busy_s", "digest",
+                    "done", "failed", "id", "label", "respawns", "state"}
+        assert {key: keys(value) for key, value in stats.items()} == {
+            "jobs": dict.fromkeys(["active", "total", "rejected",
+                                   "max_active"]),
+            "cells": dict.fromkeys(["requested", "cache", "computed",
+                                    "coalesced", "failed"]),
+            "singleflight": dict.fromkeys(["leaders", "joined",
+                                           "inflight", "peak_inflight"]),
+            "pool": dict.fromkeys(["workers", "steals", "respawns",
+                                   "pending", "backlogs",
+                                   "worker_state"]),
+            "cache": dict.fromkeys(["enabled", "dir", "hits", "misses",
+                                    "stores", "hit_s", "miss_s",
+                                    "store_s"]),
+            "telemetry": {"spans_started": None, "spans_finished": None,
+                          "log_records": keys(stats["telemetry"]
+                                              ["log_records"]),
+                          "logs_dropped": None, "heartbeats": None,
+                          "heartbeat_s": None},
+        }
+        rows = stats["pool"]["worker_state"]
+        assert all(set(row) == row_keys for row in rows)
+
+        cells, flights = stats["cells"], stats["singleflight"]
+        pool, cache = stats["pool"], stats["cache"]
+        tele = stats["telemetry"]
+        shared = {
+            "repro_jobs_rejected_total": stats["jobs"]["rejected"],
+            "repro_jobs_active": stats["jobs"]["active"],
+            'repro_singleflight_total{role="leader"}': flights["leaders"],
+            'repro_singleflight_total{role="joined"}': flights["joined"],
+            "repro_singleflight_inflight": flights["inflight"],
+            "repro_pool_steals_total": pool["steals"],
+            "repro_pool_respawns_total": pool["respawns"],
+            "repro_pool_pending": pool["pending"],
+            "repro_cache_hits_total": cache["hits"],
+            "repro_cache_misses_total": cache["misses"],
+            "repro_cache_stores_total": cache["stores"],
+            "repro_spans_finished_total": tele["spans_finished"],
+            "repro_stream_heartbeats_total": tele["heartbeats"],
+            "repro_coalescing_ratio": round(
+                cells["coalesced"] / max(cells["requested"], 1), 6),
+        }
+        for source in ("cache", "computed", "coalesced", "failed"):
+            shared[f'repro_cells_total{{source="{source}"}}'] = \
+                cells[source]
+        for row in rows:
+            worker = f'{{worker="{row["id"]}"}}'
+            shared["repro_pool_worker_cells_total" + worker] = row["done"]
+            shared["repro_pool_backlog_depth" + worker] = row["backlog"]
+            assert pool["backlogs"][row["id"]] == row["backlog"]
+        for level, count in tele["log_records"].items():
+            shared[f'repro_log_records_total{{level="{level}"}}'] = count
+        assert {key: samples.get(key, 0) for key in shared} == shared
+        assert cells["computed"] >= 2 and cache["stores"] >= 2
+        assert {key for key in samples
+                if key.startswith("repro_log_records_total")} \
+            == {f'repro_log_records_total{{level="{level}"}}'
+                for level in tele["log_records"]}
 
     def test_heartbeats_fill_silent_streams(self, client):
         # 30k instructions computes for a second or more against a
