@@ -20,7 +20,9 @@ Commands
               instructions of a run.
 ``check``     run benchmarks × LSQ presets under the full validation
               stack (memory-model oracle + cycle-level invariants,
-              optionally fault injection); exit nonzero on any failure.
+              optionally fault injection); validated runs replay from
+              the result cache (``--cache``/``--no-cache``); exit
+              nonzero on any failure.
 ``bench``     run a benchmarks × presets × seeds sweep through the
               parallel, disk-cached engine (``--jobs``, ``--cache``,
               ``--progress``) and write a machine-readable
@@ -50,7 +52,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from typing import Dict, List, NoReturn
+from typing import Dict, List, NoReturn, Sequence
 
 from repro.config import (
     LoadQueueSearchMode,
@@ -175,13 +177,17 @@ def _load_trace(args) -> Trace:
     return generate_trace(name, n_instructions=args.instructions)
 
 
-def _resolve_benchmarks(name: str) -> List[str]:
-    if name == "all":
-        return list(ALL_BENCHMARKS)
-    if name not in ALL_BENCHMARKS:
-        _usage_error(f"unknown benchmark {name!r}; choose from: "
-                     f"{', '.join(ALL_BENCHMARKS)} or 'all'")
-    return [name]
+def _select(text: str, known: Sequence[str], what: str) -> List[str]:
+    """``all`` (every name in ``known``) or a comma-separated selection
+    from ``known``; an unknown name is a usage error."""
+    if text == "all":
+        return list(known)
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    for name in names:
+        if name not in known:
+            _usage_error(f"unknown {what} {name!r}; choose from: "
+                         f"{', '.join(known)} or 'all'")
+    return names
 
 
 def cmd_run(args) -> None:
@@ -375,48 +381,70 @@ def cmd_pipetrace(args) -> None:
 
 
 def cmd_check(args) -> None:
+    """Benchmarks x presets under the oracle and invariant checker,
+    each validated cell through the result cache; fault campaigns
+    (``--faults``) always simulate."""
+    from repro.harness.engine import Cell
     from repro.validate import (
         SimulationDeadlock,
-        ValidationChecker,
         ValidationError,
         run_all_fault_classes,
     )
-    benchmarks = _resolve_benchmarks(args.benchmark)
-    presets = sorted(PRESETS) if args.lsq == "all" else [args.lsq]
-    failed = 0
+    benchmarks = _select(args.benchmark, ALL_BENCHMARKS, "benchmark")
+    presets = _select(args.lsq, sorted(PRESETS), "LSQ preset")
+    if not benchmarks or not presets:
+        _usage_error("check: the benchmark or --lsq selection is empty")
+    engine = _engine(args)
+    failed = []
     hung = 0
+    loads = cycles = injected = cached = 0
     for bench in benchmarks:
-        trace = generate_trace(bench, n_instructions=args.instructions)
+        trace = (generate_trace(bench, n_instructions=args.instructions)
+                 if args.faults else None)
         for preset in presets:
+            label = f"{bench} x {preset}"
             machine = replace(base_machine(), lsq=_lsq(preset, args.ports))
-            checker = ValidationChecker()
+            cell = Cell(benchmark=bench, machine=machine,
+                        n_instructions=args.instructions, validate=True,
+                        label=preset)
             try:
-                result = simulate(trace, machine, checker=checker)
+                result = engine.run_cell(cell)
             except SimulationDeadlock as error:
                 hung += 1
-                print(f"HUNG {bench} x {preset}\n{error}")
+                print(f"HUNG {label}\n{error}")
                 continue
             except ValidationError as error:
-                failed += 1
-                print(f"FAIL {bench} x {preset}\n{error}")
+                failed.append(label)
+                print(f"FAIL {label}\n{error}")
                 continue
-            print(f"ok   {bench} x {preset}: IPC {result.ipc:.2f}; "
-                  f"{checker.report()}")
-            if args.faults:
+            summary = result.validation
+            loads += summary.checked_loads
+            cycles += summary.checked_cycles
+            cached += result.cached
+            print(f"ok   {label}: IPC {result.ipc:.2f}; {summary.report}"
+                  + (" [cached]" if result.cached else ""))
+            if trace is not None:
                 reports = run_all_fault_classes(trace, machine,
                                                 seed=args.seed)
                 for __, report in sorted(reports.items()):
+                    injected += len(report.outcomes)
                     if not report.ok:
-                        failed += 1
+                        if label not in failed:
+                            failed.append(label)
                         print(f"FAIL {report.format()}")
                         print(report.checker.bundle().format())
                     else:
                         print(f"     {report.format()}")
     total = len(benchmarks) * len(presets)
-    print(f"\ncheck: {total - failed - hung}/{total} configuration(s) "
+    print(f"\ncheck: {total - len(failed) - hung}/{total} configuration(s) "
           f"passed"
-          + (f", {failed} FAILED" if failed else "")
-          + (f", {hung} HUNG" if hung else ""))
+          + (f", {len(failed)} FAILED" if failed else "")
+          + (f", {hung} HUNG" if hung else "")
+          + f"; {loads} committed loads cross-checked, {cycles} cycles of "
+          f"invariants, {injected} faults injected, {cached} validated "
+          f"run(s) replayed from cache")
+    if failed:
+        print("failed: " + ", ".join(failed))
     if hung:
         sys.exit(EXIT_WATCHDOG)
     if failed:
@@ -540,22 +568,10 @@ def cmd_bench(args) -> None:
         seeds = [0]
         n_instructions = args.instructions or SMOKE_INSTRUCTIONS
     else:
-        benchmarks = (list(ALL_BENCHMARKS) if args.benchmarks == "all"
-                      else [b.strip() for b in args.benchmarks.split(",")
-                            if b.strip()])
-        presets = (sorted(PRESETS) if args.presets == "all"
-                   else [p.strip() for p in args.presets.split(",")
-                         if p.strip()])
+        benchmarks = _select(args.benchmarks, ALL_BENCHMARKS, "benchmark")
+        presets = _select(args.presets, sorted(PRESETS), "preset")
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
         n_instructions = args.instructions or _default_instructions()
-    for name in benchmarks:
-        if name not in ALL_BENCHMARKS:
-            _usage_error(f"unknown benchmark {name!r}; choose from: "
-                         f"{', '.join(ALL_BENCHMARKS)}")
-    for name in presets:
-        if name not in PRESETS:
-            _usage_error(f"unknown preset {name!r}; choose from: "
-                         f"{', '.join(sorted(PRESETS))}")
     if not benchmarks or not presets or not seeds:
         # An empty grid is a usage error, never a vacuous success —
         # in particular `--expect-cached` over zero cells must not
@@ -1091,18 +1107,25 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser(
         "check", help="run benchmarks under full validation")
     check.add_argument("benchmark",
-                       help=f"benchmark name ({', '.join(ALL_BENCHMARKS)}) "
-                            "or 'all'")
+                       help="comma-separated benchmark names "
+                            f"({', '.join(ALL_BENCHMARKS)}) or 'all'")
     check.add_argument("-n", "--instructions", type=_instruction_count,
                        default=6000)
-    check.add_argument("--lsq", choices=sorted(PRESETS) + ["all"],
-                       default="all")
+    check.add_argument("--lsq", default="all",
+                       help="comma-separated LSQ presets "
+                            f"({', '.join(sorted(PRESETS))}) or 'all' "
+                            "(default)")
     check.add_argument("--ports", type=int, default=2)
     check.add_argument("--faults", action="store_true",
                        help="also run the fault-injection campaigns and "
                             "assert zero silent corruptions")
     check.add_argument("--seed", type=int, default=0,
                        help="fault-injection RNG seed")
+    check.add_argument("--cache", dest="cache_dir", metavar="DIR",
+                       help="result-cache directory (default: "
+                            "$REPRO_CACHE_DIR or .repro-cache)")
+    check.add_argument("--no-cache", action="store_true",
+                       help="simulate every validated run afresh")
     check.set_defaults(func=cmd_check)
 
     from repro.litmus.shapes import SHAPES as _shapes

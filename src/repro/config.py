@@ -201,7 +201,8 @@ class StoreSetConfig:
     instruction runs).  Clearing is what separates the realistic pair
     predictor from the alias-free aggressive idealisation: after a
     clear, one violation re-trains a whole aliased SSIT group, while
-    the aggressive predictor pays one squash per load PC.
+    the aggressive predictor pays one squash per load PC (Section
+    4.1.1's constructive interference).
     """
 
     ssit_entries: int = 4096

@@ -53,16 +53,6 @@ if TYPE_CHECKING:
 #: the observability layer, like stats/tracer, is write-from-anywhere.
 SIM_LINT_INTERFACES = frozenset({"obs"})
 
-#: Committed-instruction interval between table invalidations.  Chrysos
-#: & Emer clear their tables every ~1M cycles over 100M+ instruction
-#: runs; our synthetic traces are ~10^4 instructions, so the interval is
-#: scaled to keep a comparable number of clears per run.  Clearing is
-#: what separates the realistic pair predictor from the alias-free
-#: "aggressive" one: after a clear, one violation re-trains a whole
-#: aliased SSIT group at once, while the aggressive predictor pays one
-#: squash per load PC (Section 4.1.1's constructive interference).
-DEFAULT_CLEAR_INTERVAL = 8192
-
 
 class _LfstEntry:
     __slots__ = ("store_seq", "valid", "counter")

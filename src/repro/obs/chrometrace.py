@@ -8,9 +8,9 @@ directly.  One simulated cycle maps to one microsecond of trace time.
 The export has three process rows:
 
 * **pid 0 — pipeline**: one complete ("X") slice per traced instruction
-  (dispatch to commit/squash), taken from the
-  :class:`~repro.pipeline.debug.PipelineTracer` records and spread
-  across lanes so overlapping instructions stay readable;
+  (dispatch to commit/squash), read from the stage cycles of the
+  instructions a :class:`~repro.pipeline.debug.PipelineTracer` kept and
+  spread across lanes so overlapping instructions stay readable;
 * **pid 1 — events**: instant ("i") marks from the structured event bus
   (forwarding hits, violation squashes, port retries, segment hops...),
   one thread row per event kind;
@@ -55,27 +55,25 @@ def _meta(pid: int, name: str, tid: Optional[int] = None,
 
 def _instruction_slices(tracer: "PipelineTracer") -> List[JsonDict]:
     slices: List[JsonDict] = []
-    for seq in sorted(tracer.records):
-        record = tracer.records[seq]
-        if record.dispatch is None:
-            continue
-        end = record.squash if record.squash is not None else record.commit
-        if end is None:
-            end = record.complete
-        if end is None:
-            end = record.dispatch
-        status = "squashed" if record.squash is not None else "retired"
+    for inst in tracer.insts:
+        stage = dict(inst.stages())
+        dispatch = stage["dispatch"]
+        end = stage.get("squash", stage.get("commit",
+                                            stage.get("complete", dispatch)))
+        status = "squashed" if "squash" in stage else "retired"
         slices.append({
-            "name": record.op,
+            "name": inst.inst.op.name,
             "cat": f"inst,{status}",
             "ph": "X",
-            "ts": record.dispatch,
-            "dur": max(end - record.dispatch, 1),
+            "ts": dispatch,
+            "dur": max(end - dispatch, 1),
             "pid": 0,
-            "tid": seq % PIPELINE_LANES,
-            "args": {"seq": seq, "pc": record.pc, "status": status,
-                     "issue": record.issue, "complete": record.complete,
-                     "commit": record.commit, "squash": record.squash},
+            "tid": inst.seq % PIPELINE_LANES,
+            "args": {"seq": inst.seq, "pc": inst.pc, "status": status,
+                     "issue": stage.get("issue"),
+                     "complete": stage.get("complete"),
+                     "commit": stage.get("commit"),
+                     "squash": stage.get("squash")},
         })
     return slices
 

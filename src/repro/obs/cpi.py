@@ -119,14 +119,3 @@ class CpiStack:
     def stack(self) -> Dict[str, int]:
         """Slot-cycles per cause (copy); sums to :attr:`total_slots`."""
         return dict(self.slots)
-
-    def cpi_contributions(self, committed: int) -> Dict[str, float]:
-        """Cycles-per-instruction contributed by each cause.
-
-        ``sum(values) == cycles / committed`` (the run CPI) because the
-        slot buckets sum to ``cycles x commit_width``.
-        """
-        if committed <= 0:
-            return {cause: 0.0 for cause in CPI_CAUSES}
-        return {cause: slots / self.commit_width / committed
-                for cause, slots in self.slots.items()}

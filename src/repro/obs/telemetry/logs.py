@@ -74,11 +74,13 @@ class LogRing:
     def rows(self, *, job: Optional[str] = None,
              level: Optional[str] = None,
              limit: int = 0) -> List[JsonDict]:
-        """Matching records, oldest first; ``limit`` keeps the newest."""
+        """Matching records, oldest first: ``level`` keeps that level and
+        the ones above it in :data:`LEVELS`, ``limit`` the newest."""
+        levels = LEVELS if level is None else LEVELS[LEVELS.index(level):]
         with self._lock:
             rows = [dict(row) for row in self._rows
                     if (job is None or row.get("job") == job)
-                    and (level is None or row.get("level") == level)]
+                    and row["level"] in levels]
         if limit > 0:
             rows = rows[-limit:]
         return rows

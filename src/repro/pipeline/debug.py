@@ -1,11 +1,15 @@
 """Pipeline tracing: per-instruction stage timelines.
 
+Every :class:`~repro.pipeline.dyninst.DynInst` carries its own stage
+cycles — dispatch, issue, complete, and the cycle it left the ROB by
+commit or squash (:meth:`DynInst.stages`).  :func:`draw` turns any run
+of instructions into the classic pipetrace diagram — one row per
+instruction, one column per cycle — which makes LSQ behaviour (port
+retries, store-set waits, violation squashes) directly visible.
+
 Attach a :class:`PipelineTracer` to a :class:`~repro.pipeline.processor
-.Processor` before running and it records when each dynamic instruction
-was dispatched, issued, completed, committed, or squashed.  ``render``
-draws the classic pipetrace diagram — one row per instruction, one
-column per cycle — which makes LSQ behaviour (port retries, store-set
-waits, violation squashes) directly visible.
+.Processor` before running and it keeps the first ``limit`` dispatched
+instructions of the run:
 
 >>> processor = Processor(base_machine())
 >>> processor.tracer = PipelineTracer(limit=200)
@@ -15,8 +19,7 @@ waits, violation squashes) directly visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Sequence
 
 from repro.pipeline.dyninst import DynInst
 
@@ -30,99 +33,60 @@ GLYPHS = {
 }
 
 
-@dataclass
-class InstRecord:
-    """Stage timestamps for one dynamic instruction."""
-
-    seq: int
-    pc: int
-    op: str
-    dispatch: Optional[int] = None
-    issue: Optional[int] = None
-    complete: Optional[int] = None
-    commit: Optional[int] = None
-    squash: Optional[int] = None
-
-    def events(self):
-        for name in ("dispatch", "issue", "complete", "commit", "squash"):
-            cycle = getattr(self, name)
-            if cycle is not None:
-                yield name, cycle
+def draw(insts: Sequence[DynInst], start: int, end: int) -> str:
+    """Pipetrace of ``insts`` (in dispatch order) over cycles
+    ``start..end``; stages outside that span are left out."""
+    span = end - start + 1
+    lines = [f"cycles {start}..{end} "
+             f"(D=dispatch I=issue C=complete R=retire x=squash)"]
+    for inst in insts:
+        strip = [" "] * span
+        for name, cycle in inst.stages():
+            offset = cycle - start
+            if 0 <= offset < span:
+                strip[offset] = GLYPHS[name]
+        lines.append(f"{inst.seq:5d} {inst.inst.op.name:9s} "
+                     f"{''.join(strip)}")
+    return "\n".join(lines)
 
 
 class PipelineTracer:
-    """Records stage events for ``limit`` dynamic instructions.
+    """Keeps the first ``limit`` instructions a run dispatches.
 
-    With ``rolling=False`` (default) the *first* ``limit`` instructions
-    are kept — the classic pipetrace of a run's start.  With
-    ``rolling=True`` the *most recent* ``limit`` instructions are kept
-    instead, which is what diagnostic bundles want: the window of
-    activity leading up to a failure.
+    The processor hands each instruction over as it dispatches; the
+    tracer keeps a reference, and the instruction records its own
+    later stages.
     """
 
-    def __init__(self, limit: int = 512, rolling: bool = False) -> None:
+    def __init__(self, limit: int = 512) -> None:
         self.limit = limit
-        self.rolling = rolling
-        self.records: Dict[int, InstRecord] = {}
+        #: The kept instructions, in dispatch (= sequence) order.
+        self.insts: List[DynInst] = []
 
-    def note(self, event: str, inst: DynInst, cycle: int) -> None:
-        """Called by the processor at each pipeline event."""
-        record = self.records.get(inst.seq)
-        if record is None:
-            if len(self.records) >= self.limit:
-                if not self.rolling:
-                    return
-                # Records are inserted in dispatch order, so the first
-                # key is always the oldest instruction.
-                self.records.pop(next(iter(self.records)))
-            record = InstRecord(seq=inst.seq, pc=inst.pc,
-                                op=inst.inst.op.name)
-            self.records[inst.seq] = record
-        setattr(record, event, cycle)
-
-    # -- queries ----------------------------------------------------------
-
-    def record(self, seq: int) -> Optional[InstRecord]:
-        return self.records.get(seq)
-
-    def latency(self, seq: int) -> Optional[int]:
-        """Dispatch-to-commit latency of one instruction."""
-        record = self.records.get(seq)
-        if record is None or record.dispatch is None \
-                or record.commit is None:
-            return None
-        return record.commit - record.dispatch
-
-    def squashed_seqs(self) -> List[int]:
-        return [seq for seq, rec in self.records.items()
-                if rec.squash is not None]
+    def add(self, inst: DynInst) -> None:
+        """Called by the processor as ``inst`` dispatches."""
+        if len(self.insts) < self.limit:
+            self.insts.append(inst)
 
     def render_recent(self, count: int = 64) -> str:
-        """Pipetrace of the youngest ``count`` recorded instructions."""
-        if not self.records:
+        """Pipetrace of the youngest ``count`` kept instructions."""
+        if not self.insts:
             return "(no recorded instructions)"
-        seqs = sorted(self.records)[-count:]
-        return self.render(seqs[0], seqs[-1])
-
-    # -- rendering -----------------------------------------------------------
+        return self._render(self.insts[-count:])
 
     def render(self, first_seq: int, last_seq: int,
                max_width: int = 100) -> str:
         """Pipetrace diagram for instructions in ``[first_seq, last_seq]``."""
-        rows = [rec for seq, rec in sorted(self.records.items())
-                if first_seq <= seq <= last_seq]
+        return self._render([inst for inst in self.insts
+                             if first_seq <= inst.seq <= last_seq],
+                            max_width)
+
+    @staticmethod
+    def _render(rows: List[DynInst], max_width: int = 100) -> str:
+        """``rows`` from the first one's dispatch (the earliest stage of
+        any) to the last stage drawn, at most ``max_width`` cycles."""
         if not rows:
             return "(no recorded instructions in range)"
-        start = min(cycle for rec in rows for __, cycle in rec.events())
-        end = max(cycle for rec in rows for __, cycle in rec.events())
-        span = min(end - start + 1, max_width)
-        lines = [f"cycles {start}..{start + span - 1} "
-                 f"(D=dispatch I=issue C=complete R=retire x=squash)"]
-        for rec in rows:
-            strip = [" "] * span
-            for name, cycle in rec.events():
-                offset = cycle - start
-                if 0 <= offset < span:
-                    strip[offset] = GLYPHS[name]
-            lines.append(f"{rec.seq:5d} {rec.op:9s} {''.join(strip)}")
-        return "\n".join(lines)
+        start = rows[0].dispatch_cycle
+        end = max(cycle for inst in rows for __, cycle in inst.stages())
+        return draw(rows, start, min(end, start + max_width - 1))

@@ -10,7 +10,7 @@ order among in-flight instructions.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.workload.isa import OP_FLAGS, Instruction
 
@@ -40,7 +40,7 @@ class DynInst:
         "is_load", "is_store", "is_memory", "is_branch", "is_membar",
         "addr", "size", "pc", "latency",
         "pending_sources", "consumers", "prev_writer",
-        "issue_cycle", "complete_cycle",
+        "dispatch_cycle", "issue_cycle", "complete_cycle", "exit_cycle",
         "forwarded_from", "forwarded_from_pc", "ooo_issued",
         "load_buffer_slot", "wait_store_seq", "predicted_dependent",
         "searched_sq", "lsq_segment", "lsq_virtual", "ssid",
@@ -60,8 +60,12 @@ class DynInst:
         self.pending_sources = 0
         self.consumers: List["DynInst"] = []
         self.prev_writer: Optional["DynInst"] = None
+        # Stage cycles (-1 until reached); see stages().
+        self.dispatch_cycle = -1
         self.issue_cycle = -1
         self.complete_cycle = -1
+        self.exit_cycle = -1             # left the ROB: committed or
+                                         # squashed, as state says
         # -- memory bookkeeping -----------------------------------------
         self.forwarded_from: Optional[int] = None  # seq of forwarding store
         self.forwarded_from_pc: Optional[int] = None
@@ -98,6 +102,19 @@ class DynInst:
     def complete(self) -> bool:
         state = self.state
         return state is InstState.COMPLETE or state is InstState.COMMITTED
+
+    def stages(self) -> Iterator[Tuple[str, int]]:
+        """``(stage, cycle)`` for each stage reached, in pipeline order:
+        dispatch, issue, complete, then commit or squash."""
+        if self.dispatch_cycle >= 0:
+            yield "dispatch", self.dispatch_cycle
+        if self.issue_cycle >= 0:
+            yield "issue", self.issue_cycle
+        if self.complete_cycle >= 0:
+            yield "complete", self.complete_cycle
+        if self.exit_cycle >= 0:
+            yield ("squash" if self.state is InstState.SQUASHED
+                   else "commit"), self.exit_cycle
 
     def overlaps(self, other: "DynInst") -> bool:
         """Same byte-overlap test as ``Instruction.overlaps``, over the

@@ -256,8 +256,8 @@ class Processor:
         self._parked = _ParkedEntries(self.lsq, self.stats)
         self._last_commit_cycle = 0
         self._trace: Optional[Trace] = None
-        #: Optional PipelineTracer (repro.pipeline.debug) recording
-        #: per-instruction stage timestamps.
+        #: Optional PipelineTracer (repro.pipeline.debug): handed each
+        #: instruction as it dispatches; keeps the first ``limit``.
         self.tracer = None
 
     # ------------------------------------------------------------------
@@ -467,7 +467,6 @@ class Processor:
         rob = self.rob
         lsq = self.lsq
         cycle = self.cycle
-        tracer = self.tracer
         checker = self.checker
         stats = self.stats
         for __ in range(self._commit_width):
@@ -491,13 +490,12 @@ class Processor:
             elif head.is_load:
                 lsq.commit_load(head)
             rob.commit_head()
+            head.exit_cycle = cycle
             # A committed instruction is never squashed, so nothing reads
             # its previous writer again; dropping the link keeps retired
             # instructions from chaining back to the start of the run.
             head.prev_writer = None
             self.regfile.release(head.inst.dest)
-            if tracer is not None:
-                tracer.note("commit", head, cycle)
             if checker is not None:
                 checker.on_commit(head)
             stats.committed += 1
@@ -525,15 +523,12 @@ class Processor:
         if events is None:
             return
         cycle = self.cycle
-        tracer = self.tracer
         iq_wake = self.iq.wake
         for inst in events:
             if inst.state is InstState.SQUASHED:
                 continue
             inst.state = InstState.COMPLETE
             inst.complete_cycle = cycle
-            if tracer is not None:
-                tracer.note("complete", inst, cycle)
             consumers = inst.consumers
             for consumer in consumers:
                 state = consumer.state
@@ -568,7 +563,6 @@ class Processor:
         stats = self.stats
         events = self._events
         checker = self.checker
-        tracer = self.tracer
         load_blocked = lsq.load_blocked
         try_execute_load = lsq.try_execute_load
         store_blocked = lsq.store_blocked
@@ -647,8 +641,6 @@ class Processor:
                 mem_stage.pop(index)
                 inst.state = InstState.COMPLETE
                 inst.complete_cycle = cycle
-                if tracer is not None:
-                    tracer.note("complete", inst, cycle)
                 if outcome.violation is not None:
                     if waiting:
                         parked.settle(inst.seq)
@@ -666,8 +658,6 @@ class Processor:
                 mem_stage.pop(index)
                 inst.state = InstState.COMPLETE
                 inst.complete_cycle = cycle
-                if tracer is not None:
-                    tracer.note("complete", inst, cycle)
         if waiting:
             parked.settle(_WALK_END)
 
@@ -703,7 +693,6 @@ class Processor:
         iq = self.iq
         fus = self.fus
         cycle = self.cycle
-        tracer = self.tracer
         obs = self.obs
         mem_stage = self._mem_stage
         events = self._events
@@ -718,8 +707,6 @@ class Processor:
             iq.release()
             inst.state = InstState.ISSUED
             inst.issue_cycle = cycle
-            if tracer is not None:
-                tracer.note("issue", inst, cycle)
             if obs is not None:
                 obs.on_issue(inst)
             issued += 1
@@ -748,6 +735,7 @@ class Processor:
         stats = self.stats
         tracer = self.tracer
         checker = self.checker
+        cycle = self.cycle
         for __ in range(self._issue_width):
             if not fetch_buffer:
                 return
@@ -767,8 +755,9 @@ class Processor:
             if not regfile.can_rename(inst.inst.dest):
                 return
             fetch_buffer.popleft()
+            inst.dispatch_cycle = cycle
             if tracer is not None:
-                tracer.note("dispatch", inst, self.cycle)
+                tracer.add(inst)
             self._wire_dependences(inst)
             regfile.rename(inst.inst.dest)
             rob.dispatch(inst)
@@ -852,8 +841,7 @@ class Processor:
         squashed = self.rob.squash_from(seq)  # youngest first
         in_queue = 0
         for inst in squashed:
-            if self.tracer is not None:
-                self.tracer.note("squash", inst, self.cycle)
+            inst.exit_cycle = self.cycle
             dest = inst.inst.dest
             if dest != NO_REG and self._last_writer.get(dest) is inst:
                 if inst.prev_writer is not None:

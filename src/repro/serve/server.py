@@ -13,7 +13,8 @@ API (see ``docs/SERVING.md`` and ``docs/TELEMETRY.md``)::
     GET  /metrics            Prometheus text exposition of the fleet
                              metric catalog
     GET  /logs?job=&level=   structured JSON log records from the
-                             bounded in-memory ring
+                             bounded in-memory ring (``level``: that
+                             level and above; 400 when unknown)
     POST /jobs               submit a sweep spec -> 202 {"job": {...}}
                              400 bad spec, 429 + Retry-After when full;
                              an ``X-Repro-Trace`` header joins the
@@ -54,6 +55,7 @@ from repro.harness.engine import CellResult, ResultCache, SweepEngine, \
 from repro.obs.metrics import stream_points
 from repro.obs.telemetry import Counter, Gauge, build_tree, \
     parse_trace_header
+from repro.obs.telemetry.logs import LEVELS
 from repro.obs.telemetry.spans import Span
 from repro.serve.jobs import Busy, CellRecord, Job, JobStore
 from repro.serve.scheduler import WorkerPool
@@ -419,6 +421,11 @@ class ServeApp:
         params = urllib.parse.parse_qs(query)
         job = params.get("job", [None])[0]
         level = params.get("level", [None])[0]
+        if level is not None and level not in LEVELS:
+            self._write_json(writer, 400, {
+                "error": f"unknown level {level!r}; choose from: "
+                         f"{', '.join(LEVELS)}"})
+            return
         try:
             limit = int(params.get("limit", ["200"])[0])
         except ValueError:

@@ -3,16 +3,23 @@
 Every failure the validation subsystem can raise — a memory-model
 mismatch from the oracle, a structural invariant violation, or the
 deadlock watchdog firing — carries a :class:`DiagnosticBundle`: the
-machine configuration, a pipetrace of the most recent instructions, the
-trace window around the failing instruction, and a one-line pipeline
-state summary.  ``bundle.format()`` is everything needed to reproduce
+machine configuration, a pipetrace of the instructions around the
+failing one, the trace window around it, and a one-line pipeline state
+summary.  ``bundle.format()`` is everything needed to reproduce
 and debug the failure from a cold start.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import List, Optional
+
+from repro.pipeline.debug import draw
+
+#: Instruction rows and cycle columns of a bundle's pipetrace.
+PIPETRACE_ROWS = 64
+PIPETRACE_CYCLES = 100
 
 
 @dataclass
@@ -112,7 +119,7 @@ class DiagnosticBundle:
         if self.failures:
             lines.append("failures:")
             lines.extend(f"  {failure.format()}" for failure in self.failures)
-        lines.append("---- last-instruction pipetrace ----")
+        lines.append("---- pipetrace ----")
         lines.append(self.pipetrace)
         lines.append("---- trace window ----")
         lines.append(self.trace_window)
@@ -148,24 +155,48 @@ def _trace_window(trace, center: int, radius: int = 8) -> str:
     return "\n".join(lines)
 
 
+def _pipetrace(processor, seq: int) -> str:
+    """The PIPETRACE_ROWS instructions around ``seq`` (the ROB head when
+    negative) over the PIPETRACE_CYCLES cycles up to now.
+
+    Rows come from the in-flight ROB and, when a checker is attached,
+    the instructions it saw commit last; squashed instructions are gone
+    from both.
+    """
+    checker = processor.checker
+    insts = list(checker.recent_commits) if checker is not None else []
+    insts.extend(processor.rob)
+    if not insts:
+        return "(no instruction in flight or recently committed)"
+    if seq < 0:
+        head = processor.rob.head
+        seq = head.seq if head is not None else insts[-1].seq
+    center = bisect_left([inst.seq for inst in insts], seq)
+    first = max(0, min(center - PIPETRACE_ROWS // 2,
+                       len(insts) - PIPETRACE_ROWS))
+    rows = insts[first:first + PIPETRACE_ROWS]
+    end = processor.cycle
+    # Rows are in dispatch order, and dispatch is each one's first stage.
+    start = max(rows[0].dispatch_cycle, end - PIPETRACE_CYCLES + 1)
+    return draw(rows, start, end)
+
+
 def build_bundle(processor, seq: int = -1, trace_index: int = -1,
                  failures: Optional[List[ValidationFailure]] = None
                  ) -> DiagnosticBundle:
     """Snapshot ``processor`` into a :class:`DiagnosticBundle`.
 
-    ``trace_index`` centres the trace window; when unknown it falls back
-    to the ROB head (the oldest unfinished instruction), then the fetch
-    pointer.
+    ``seq`` centres the pipetrace and ``trace_index`` the trace window.
+    When unknown, each falls back to the ROB head (the oldest unfinished
+    instruction); with the ROB empty, to the youngest commit the checker
+    kept and to the fetch pointer.
     """
     trace = processor._trace
     if trace_index < 0:
         head = processor.rob.head
         trace_index = (head.trace_index if head is not None
                        else processor._fetch_index)
-    if processor.tracer is not None:
-        pipetrace = processor.tracer.render_recent()
-    else:
-        pipetrace = "(no pipeline tracer attached)"
+    pipetrace = _pipetrace(processor, seq)
     # Parked loads are memory-stage entries too (Processor._park).
     mem_stage = len(processor._mem_stage) + sum(
         len(waits) for waits in processor._parked.lists)

@@ -19,6 +19,10 @@ two levels:
    simulated cycle the structural invariants of
    :mod:`repro.validate.invariants` must hold.
 
+The checker also keeps the last :data:`RECENT_COMMITS` instructions to
+commit, so a diagnostic bundle can draw the pipetrace leading up to a
+failure (:func:`~repro.validate.bundle.build_bundle`).
+
 With ``raise_on_error=True`` (the default) the first discrepancy
 raises :class:`~repro.validate.bundle.ValidationError` (or
 :class:`~repro.validate.bundle.InvariantViolation`) carrying a
@@ -29,7 +33,8 @@ for post-run inspection (the mode the fault-injection harness uses).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from collections import deque
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.config import LoadQueueSearchMode
 from repro.validate import invariants
@@ -41,6 +46,9 @@ from repro.validate.bundle import (
     build_bundle,
 )
 from repro.validate.oracle import CommittedMemory, MemoryOracle
+
+if TYPE_CHECKING:
+    from repro.pipeline.dyninst import DynInst
 
 #: Load-queue search modes that promise hardware load-load ordering;
 #: under MEMBAR/INVALIDATION the machine makes no such promise
@@ -58,16 +66,15 @@ _MISSING = object()
 #: would otherwise accumulate one failure per cycle).
 MAX_RECORDED_FAILURES = 512
 
+#: Committed instructions kept for diagnostic pipetraces.
+RECENT_COMMITS = 64
+
 
 class ValidationChecker:
     """Oracle + invariant cross-checking for one simulation run."""
 
-    def __init__(self, *, raise_on_error: bool = True,
-                 invariant_interval: int = 1) -> None:
-        if invariant_interval < 1:
-            raise ValueError("invariant_interval must be >= 1")
+    def __init__(self, *, raise_on_error: bool = True) -> None:
         self.raise_on_error = raise_on_error
-        self.invariant_interval = invariant_interval
         self.failures: List[ValidationFailure] = []
         self.checked_loads = 0
         self.checked_cycles = 0
@@ -83,9 +90,8 @@ class ValidationChecker:
         self._commit_index = 0                   # next trace index to commit
         self._last_seq = -1                      # last committed seq
         self._seen: Set[Tuple[str, int]] = set()
-        # True while the pipeline state has changed since the last scan
-        # (only possible with invariant_interval > 1).
-        self._unscanned = False
+        #: The last RECENT_COMMITS committed instructions, oldest first.
+        self.recent_commits: Deque["DynInst"] = deque(maxlen=RECENT_COMMITS)
 
     # ------------------------------------------------------------------
     # wiring
@@ -93,7 +99,6 @@ class ValidationChecker:
 
     def attach(self, processor, trace) -> None:
         """Bind to one run (called by ``Processor.run``)."""
-        from repro.pipeline.debug import PipelineTracer
         self.processor = processor
         self.failures = []
         self._seen = set()
@@ -102,15 +107,11 @@ class ValidationChecker:
         self._observed = {}
         self._commit_index = 0
         self._last_seq = -1
-        self._unscanned = False
+        self.recent_commits.clear()
         self.checked_loads = 0
         self.checked_cycles = 0
         self.load_verdicts = {}
         self.oracle = MemoryOracle(trace)
-        if processor.tracer is None:
-            # Keep a rolling last-64-instruction pipetrace so every
-            # diagnostic bundle has one.
-            processor.tracer = PipelineTracer(limit=64, rolling=True)
 
     # ------------------------------------------------------------------
     # failure plumbing
@@ -118,13 +119,12 @@ class ValidationChecker:
 
     def _fail(self, kind: str, seq: int, trace_index: int, message: str,
               expected: object = None, observed: object = None,
-              invariant: bool = False, cycle: Optional[int] = None) -> None:
+              invariant: bool = False) -> None:
         key = (kind, seq)
         if key in self._seen:
             return
         self._seen.add(key)
-        if cycle is None:
-            cycle = self.processor.cycle if self.processor else -1
+        cycle = self.processor.cycle if self.processor else -1
         failure = ValidationFailure(
             kind=kind, cycle=cycle,
             seq=seq, trace_index=trace_index,
@@ -200,6 +200,7 @@ class ValidationChecker:
                 return  # oldest younger match decides
 
     def on_commit(self, inst) -> None:
+        self.recent_commits.append(inst)
         if inst.trace_index != self._commit_index:
             self._fail(
                 "commit-order", inst.seq, inst.trace_index,
@@ -247,12 +248,11 @@ class ValidationChecker:
                              if s < seq}
 
     def end_cycle(self) -> None:
-        cycle = self.processor.cycle
-        if cycle % self.invariant_interval:
-            self._unscanned = True
-            return
         self.checked_cycles += 1
-        self._scan(cycle)
+        for finding in invariants.scan(self.processor,
+                                       min_seq=self._last_seq):
+            self._fail("invariant:" + finding.name, finding.seq, -1,
+                       finding.message, invariant=True)
 
     def skip_cycles(self, start: int, stop: int) -> None:
         """Account for the quiet cycles ``start .. stop-1`` the
@@ -261,21 +261,7 @@ class ValidationChecker:
         No stage acts in a quiet cycle, so nothing :func:`invariants.scan`
         reads changes: a scan there finds what the scan after the last
         stepped cycle found, and failures de-duplicate by ``(kind, seq)``.
-        The window's due scans therefore count in ``checked_cycles``
-        without running.  Only when ``invariant_interval`` left that
-        last state unscanned does the window's first due scan run.
+        The skipped cycles therefore count in ``checked_cycles`` without
+        being scanned.
         """
-        interval = self.invariant_interval
-        first = start + (-start) % interval
-        if first >= stop:
-            return
-        self.checked_cycles += (stop - 1 - first) // interval + 1
-        if self._unscanned:
-            self._scan(first)
-
-    def _scan(self, cycle: int) -> None:
-        self._unscanned = False
-        for finding in invariants.scan(self.processor,
-                                       min_seq=self._last_seq):
-            self._fail("invariant:" + finding.name, finding.seq, -1,
-                       finding.message, invariant=True, cycle=cycle)
+        self.checked_cycles += stop - start

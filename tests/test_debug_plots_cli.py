@@ -6,6 +6,7 @@ from repro.config import base_machine
 from repro.harness.figures import ExperimentResult
 from repro.harness.plots import bar_chart, sparkline
 from repro.pipeline.debug import PipelineTracer
+from repro.pipeline.dyninst import InstState
 from repro.pipeline.processor import Processor
 from repro.workload.synthetic import generate_trace
 from repro.workload.trace import Trace
@@ -22,28 +23,31 @@ def traced_run():
     return processor.tracer
 
 
+def _inst(tracer, seq):
+    return next((inst for inst in tracer.insts if inst.seq == seq), None)
+
+
 class TestPipelineTracer:
     def test_records_all_stages(self, traced_run):
-        record = traced_run.record(10)
-        assert record is not None
-        assert record.dispatch is not None
-        assert record.issue is not None
-        assert record.complete is not None
-        assert record.commit is not None
+        inst = _inst(traced_run, 10)
+        assert inst is not None
+        assert [name for name, __ in inst.stages()] == [
+            "dispatch", "issue", "complete", "commit"]
 
     def test_stage_order_monotone(self, traced_run):
         for seq in range(5, 50):
-            rec = traced_run.record(seq)
-            if rec is None or rec.squash is not None:
+            inst = _inst(traced_run, seq)
+            if inst is None or inst.state is InstState.SQUASHED:
                 continue
-            assert rec.dispatch <= rec.issue <= rec.complete <= rec.commit
+            assert (inst.dispatch_cycle <= inst.issue_cycle
+                    <= inst.complete_cycle <= inst.exit_cycle)
 
     def test_latency(self, traced_run):
-        latency = traced_run.latency(10)
-        assert latency is not None and latency > 0
+        inst = _inst(traced_run, 10)
+        assert inst.exit_cycle - inst.dispatch_cycle > 0
 
     def test_limit_respected(self, traced_run):
-        assert len(traced_run.records) <= 100
+        assert len(traced_run.insts) <= 100
 
     def test_render_contains_glyphs(self, traced_run):
         text = traced_run.render(5, 15)
@@ -69,8 +73,16 @@ class TestPipelineTracer:
         processor.run(Trace(insts), warm=False)
         return processor.tracer
 
+    @staticmethod
+    def _squashed(tracer):
+        return [inst for inst in tracer.insts
+                if inst.state is InstState.SQUASHED]
+
     def test_squash_recorded(self):
-        assert self._violation_run().squashed_seqs()
+        squashed = self._squashed(self._violation_run())
+        assert squashed
+        assert all(dict(inst.stages()).get("squash") == inst.exit_cycle
+                   for inst in squashed)
 
     def test_squashed_rows_rendered_at_window(self):
         # Regression: a render window centred on a squashed instruction
@@ -78,7 +90,8 @@ class TestPipelineTracer:
         # at the window boundary because the squash cycle can lie far
         # from the dispatch cycle).
         tracer = self._violation_run()
-        for seq in sorted(tracer.squashed_seqs()):
+        for inst in self._squashed(tracer):
+            seq = inst.seq
             text = tracer.render(seq, seq)
             assert "x" in text.splitlines()[-1], \
                 f"squashed seq {seq} rendered without its squash glyph"

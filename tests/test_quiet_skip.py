@@ -56,8 +56,8 @@ def _both(monkeypatch, run):
     return skipped, stepped
 
 
-def _checked_run(trace, machine, interval=1):
-    checker = ValidationChecker(invariant_interval=interval)
+def _checked_run(trace, machine):
+    checker = ValidationChecker()
     processor = Processor(machine, checker=checker)
     step = processor.step
     steps = [0]
@@ -80,14 +80,6 @@ def test_skipping_matches_stepping(cell, monkeypatch):
     assert (digest, cycles, checked) == stepped[:3]
     assert checked == cycles and stepped[3] == cycles
     assert steps < cycles
-
-
-def test_sparse_invariant_scans_count_alike(cell, monkeypatch):
-    trace, machine = cell
-    skipped, stepped = _both(
-        monkeypatch, lambda: _checked_run(trace, machine, interval=3))
-    assert skipped[:3] == stepped[:3]
-    assert skipped[2] == (skipped[1] + 2) // 3
 
 
 def test_max_cycles_stops_at_the_same_cycle(cell, monkeypatch):

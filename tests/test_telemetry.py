@@ -33,7 +33,7 @@ from repro.obs.telemetry import (
     parse_trace_header,
 )
 from repro.serve.bench import ServerHarness
-from repro.serve.client import ServeClient, ServeStalled
+from repro.serve.client import ServeClient, ServeStalled, SpecRejected
 from repro.serve.server import ServeConfig
 
 N = 300
@@ -260,6 +260,13 @@ class TestLogRing:
         assert [r["event"] for r in ring.rows(level="error")] == ["b"]
         assert [r["event"] for r in ring.rows(limit=1)] == ["c"]
 
+    def test_level_filter_keeps_that_level_and_above(self):
+        ring = LogRing()
+        ring.log("warning", "w")
+        ring.log("error", "e")
+        assert [r["event"] for r in ring.rows(level="warning")] == ["w", "e"]
+        assert [r["event"] for r in ring.rows(level="error")] == ["e"]
+
     def test_fields_cannot_shadow_core_keys(self):
         ring = LogRing()
         ring.log("info", "x", job="job-1",
@@ -456,6 +463,8 @@ class TestTelemetryEndToEnd:
                    for record in records)
         # level filter composes with the job filter
         assert client.logs(job=job_id, level="error")["records"] == []
+        with pytest.raises(SpecRejected, match="debug, info, warning, error"):
+            client.logs(level="fatal")
 
     def test_stats_worker_rows(self, client):
         stats = client.stats()

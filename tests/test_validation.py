@@ -208,6 +208,31 @@ def test_skipped_sq_search_raises_validation_error():
     assert "pipetrace" in text
 
 
+def _pipetrace_rows(pipetrace):
+    """``({seq: glyph strip}, first cycle, last cycle)`` of a bundle's
+    pipetrace ("cycles A..B" header, then one row per instruction)."""
+    header, *rows = pipetrace.splitlines()
+    first, last = header.split()[1].split("..")
+    # Row layout: "%5d %-9s " then one column per cycle.
+    strips = {int(row[:5]): row[16:] for row in rows}
+    return strips, int(first), int(last)
+
+
+def test_failure_bundle_draws_the_failing_instruction():
+    """The bundle's pipetrace has a row for the instruction that failed,
+    with its dispatch and its commit, over cycles up to the failure."""
+    trace = generate_trace("gcc", n_instructions=3000)
+    processor = Processor(preset_machine("conventional"),
+                          checker=ValidationChecker())
+    SkipSqSearchFault(seed=1, rate=1.0).install(processor)
+    with pytest.raises(ValidationError) as excinfo:
+        processor.run(trace)
+    failure = excinfo.value.failure
+    strips, first, last = _pipetrace_rows(excinfo.value.bundle.pipetrace)
+    assert "D" in strips[failure.seq] and "R" in strips[failure.seq]
+    assert first <= failure.cycle <= last
+
+
 def test_suppressed_load_buffer_raises_invariant_violation():
     """Dropping load-buffer insertions breaks the NILP/LIV contract;
     the cycle-level invariant scan must catch it the cycle it happens."""
@@ -282,6 +307,16 @@ def test_watchdog_deadlock_carries_bundle():
     assert "diagnostic bundle" in str(excinfo.value)
 
 
+def test_unchecked_watchdog_bundle_has_a_pipetrace():
+    """Without a checker the bundle still draws the in-flight ROB."""
+    machine = base_machine()
+    machine = replace(machine, core=replace(machine.core, watchdog_cycles=5))
+    with pytest.raises(SimulationDeadlock) as excinfo:
+        simulate(generate_trace("mcf", n_instructions=2000), machine)
+    strips, first, last = _pipetrace_rows(excinfo.value.bundle.pipetrace)
+    assert strips and first <= last
+
+
 # ---------------------------------------------------------------------------
 # CLI robustness
 # ---------------------------------------------------------------------------
@@ -316,14 +351,50 @@ def test_cli_check_unknown_benchmark_exits(capsys):
 
 
 def test_cli_check_smoke(capsys):
-    cli.main(["check", "bzip", "-n", "600", "--lsq", "conventional"])
+    cli.main(["check", "bzip", "-n", "600", "--lsq", "conventional",
+              "--no-cache"])
     out = capsys.readouterr().out
     assert "ok   bzip x conventional" in out
     assert "1/1 configuration(s) passed" in out
 
 
+def test_cli_check_sweeps_a_selection_through_the_cache(capsys, tmp_path):
+    argv = ["check", "gcc,bzip", "-n", "400", "--lsq", "conventional,full",
+            "--cache", str(tmp_path)]
+    cli.main(argv)
+    first = capsys.readouterr().out
+    assert "4/4 configuration(s) passed" in first
+    assert "0 validated run(s) replayed from cache" in first
+    cli.main(argv)
+    second = capsys.readouterr().out
+    assert second.count("[cached]") == 4
+    assert "4 validated run(s) replayed from cache" in second
+
+
+def test_cli_check_exit_codes(capsys, monkeypatch):
+    argv = ["check", "gcc", "-n", "300", "--lsq", "conventional",
+            "--no-cache"]
+    with monkeypatch.context() as patch:
+        patch.setenv("REPRO_WATCHDOG_CYCLES", "2")
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+    assert excinfo.value.code == cli.EXIT_WATCHDOG
+    assert "HUNG gcc x conventional" in capsys.readouterr().out
+
+    def fail(self, cell):
+        raise ValidationError("rigged")
+
+    monkeypatch.setattr("repro.harness.engine.SweepEngine.run_cell", fail)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == cli.EXIT_VALIDATION
+    out = capsys.readouterr().out
+    assert "FAIL gcc x conventional" in out and "1 FAILED" in out
+
+
 def test_cli_check_with_faults(capsys):
-    cli.main(["check", "bzip", "-n", "600", "--lsq", "full", "--faults"])
+    cli.main(["check", "bzip", "-n", "600", "--lsq", "full", "--faults",
+              "--no-cache"])
     out = capsys.readouterr().out
     assert "ok   bzip x full" in out
     for name in FAULT_CLASSES:
