@@ -52,7 +52,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from typing import Dict, List, NoReturn, Sequence
+from typing import Callable, Dict, List, NoReturn, Sequence
 
 from repro.config import (
     LoadQueueSearchMode,
@@ -102,19 +102,24 @@ def _usage_error(message: str) -> NoReturn:
     sys.exit(EXIT_USAGE)
 
 
-def _instruction_count(text: str) -> int:
-    """The argparse type of every ``-n/--instructions`` flag: an
-    explicit count must be at least 1.  (The ``0`` default of
-    ``figure``, ``bench`` and ``submit`` is not parsed, so it still
-    means "the default".)"""
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if count < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be at least 1, got {count}")
-    return count
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an int of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+#: The type of every ``-n/--instructions`` flag: an explicit count must
+#: be at least 1.  (The ``0`` default of ``figure``, ``bench`` and
+#: ``submit`` is not parsed, so it still means "the default".)
+_instruction_count = _int_at_least(1)
 
 
 def _default_instructions() -> int:
@@ -1076,14 +1081,18 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("-o", "--output", default="trace.json",
                        help="Chrome-trace output path (default: "
                             "trace.json; load in ui.perfetto.dev)")
-    trace.add_argument("--sample-interval", type=int, default=64,
+    trace.add_argument("--sample-interval", type=_int_at_least(1),
+                       default=64,
                        help="cycles between metric samples (default 64)")
-    trace.add_argument("--event-limit", type=int, default=65536,
+    trace.add_argument("--event-limit", type=_int_at_least(0),
+                       default=65536,
                        help="stored-event cap; per-kind counts stay "
                             "exact beyond it (default 65536)")
-    trace.add_argument("--pipetrace", type=int, default=0, metavar="N",
-                       help="also record the last N instructions as "
-                            "pipeline slices and print the diagram")
+    trace.add_argument("--pipetrace", type=_int_at_least(0), default=0,
+                       metavar="N",
+                       help="also record the first N dispatched "
+                            "instructions as pipeline slices and print "
+                            "the diagram")
     trace.set_defaults(func=cmd_trace)
 
     profile = sub.add_parser(

@@ -384,6 +384,22 @@ class LoadStoreQueue:
                     return Violation(entry.seq, "load-load")
         return None
 
+    def skip_invalidations(self, cycle: int, stop: int) -> int:
+        """Accrue the invalidation traffic of the quiet cycles ``cycle``
+        .. ``stop``-1 as :meth:`poll_invalidation` would, one add per
+        cycle, up to the first cycle an invalidation arrives in; return
+        that cycle (left to be stepped) or ``stop``."""
+        if self.config.lq_search is not LoadQueueSearchMode.INVALIDATION:
+            return stop
+        rate = self.config.invalidation_rate
+        accum = self._inval_accum
+        ring = self._inval_ring
+        while cycle < stop and (accum + rate < 1.0 or not ring):
+            accum += rate
+            cycle += 1
+        self._inval_accum = accum
+        return cycle
+
     def _note_written_line(self, addr: int) -> None:
         if self.config.lq_search is LoadQueueSearchMode.INVALIDATION:
             if len(self._inval_ring) < 64:
@@ -451,9 +467,6 @@ class LoadStoreQueue:
         # pure): on a port-starved machine most attempts bounce.
         if not self.memory.d_ports.available(cycle):
             self.stats.dcache_port_stalls += 1
-            if self.obs is not None:
-                self.obs.emit("port_retry", seq=load.seq, pc=load.pc,
-                              note="dcache")
             return Retry(cycle + 1, self._load_wait(load, need_sq)
                          if self.parks else -1)
 
@@ -555,15 +568,11 @@ class LoadStoreQueue:
             for (segment, at), count in demand.items() if at == cycle)
         if shortfall_now:
             self.stats.sq_port_stalls += 1
-            if self.obs is not None:
-                self.obs.emit("port_retry", note="unified")
             return Retry(cycle + 1)
         shortfall_later = any(
             calendar.free_ports(segment, at) < count
             for (segment, at), count in demand.items() if at > cycle)
         if shortfall_later:
-            if self.obs is not None:
-                self.obs.emit("port_retry", note="unified-contention")
             if self.config.contention is ContentionPolicy.STALL:
                 self.stats.contention_stalls += 1
                 return Retry(cycle + 1)
@@ -583,8 +592,6 @@ class LoadStoreQueue:
         if state == "busy_now":
             return self._port_stall(which, cycle)
         # busy_later: Section 3.2 contention.
-        if self.obs is not None:
-            self.obs.emit("port_retry", note=f"{which}-contention")
         if self.config.contention is ContentionPolicy.STALL:
             stats.contention_stalls += 1
             return Retry(cycle + 1)
@@ -598,8 +605,6 @@ class LoadStoreQueue:
             self.stats.sq_port_stalls += 1
         else:
             self.stats.lq_port_stalls += 1
-        if self.obs is not None:
-            self.obs.emit("port_retry", note=which)
         return Retry(cycle + 1, wait)
 
     # ------------------------------------------------------------------
@@ -640,8 +645,8 @@ class LoadStoreQueue:
                       verdicts: List[Optional[str]],
                       opened: List[int]) -> None:
         """What attempting a load or store waiting on each code of
-        ``waits`` would charge now, into ``verdicts[wait]``: the
-        ``port_retry`` note of the stall ("dcache", "sq" or "lq"), or
+        ``waits`` would charge now, into ``verdicts[wait]``: the port
+        whose stall counter it bumps ("dcache", "sq" or "lq"), or
         None when the attempt could get further and must be made; the
         codes with None are appended to ``opened``.  The checks run in
         the order of :meth:`try_execute_load`: the data port, the SQ
@@ -702,7 +707,6 @@ class LoadStoreQueue:
         segment holding a match, exactly as the per-entry scan did.
         """
         self.stats.sq_searches += 1
-        load.searched_sq = True
         load_seq = load.seq
         best: Dict[int, DynInst] = {}
         for bucket in self.sq.candidate_lists(load.addr, load.size):
@@ -792,8 +796,9 @@ class LoadStoreQueue:
                                               cycle=cycle).latency
         if self.config.segmented:
             latency += max(segments_searched - 1, 0)
-            if (self.config.early_scheduling_head_only and load.searched_sq
-                    and sq_path and sq_path[0] != self.sq.head_segment()):
+            # A path is built only for a load that searches the SQ.
+            if (self.config.early_scheduling_head_only and sq_path
+                    and sq_path[0] != self.sq.head_segment()):
                 # Section 3: early scheduling of dependents is forgone
                 # unless the search is confined to the head segment.
                 latency += EARLY_SCHEDULING_PENALTY
@@ -892,9 +897,6 @@ class LoadStoreQueue:
         store-load ordering search."""
         if not self.memory.d_ports.available(cycle):
             self.stats.dcache_port_stalls += 1
-            if self.obs is not None:
-                self.obs.emit("port_retry", seq=store.seq, pc=store.pc,
-                              note="dcache-commit")
             return Retry(cycle + 1)
 
         violation: Optional[Violation] = None
@@ -911,9 +913,6 @@ class LoadStoreQueue:
                 # Stores are no longer in the pipeline: contention is
                 # resolved by simply delaying the commit (Section 3.2).
                 self.stats.store_commit_delays += 1
-                if self.obs is not None:
-                    self.obs.emit("port_retry", seq=store.seq,
-                                  pc=store.pc, note="lq-commit")
                 return Retry(cycle + 1)
             self.lq_ports.reserve_path(path, cycle)
             violation = self._store_ordering_check(store, path)

@@ -4,8 +4,8 @@ The simulator's end-of-run :class:`~repro.stats.counters.SimStats`
 totals say *how much* happened; this package shows *when* and *why*:
 
 * :mod:`repro.obs.events` — a structured event bus with typed events
-  (issue, forward, violation-squash, segment-hop, port-retry,
-  predictor-update, cache-miss, load-buffer traffic) emitted from the
+  (issue, forward, violation-squash, segment-hop, predictor-update,
+  cache-miss, load-buffer traffic) emitted from the
   pipeline, LSQ, predictor, load buffer, and caches;
 * :mod:`repro.obs.metrics` — an interval sampler recording per-N-cycle
   time series (IPC, ROB/LQ/SQ/load-buffer occupancy, port utilization,
@@ -114,9 +114,17 @@ class Observer:
         self.bus.begin_cycle(cycle)
 
     def end_cycle(self, processor: "Processor") -> None:
+        """A stepped cycle has ended: a span of one."""
+        self.skip_cycles(processor, processor.cycle, processor.cycle + 1)
+
+    def skip_cycles(self, processor: "Processor", start: int,
+                    stop: int) -> None:
+        """The cycles ``start`` .. ``stop``-1 have ended: one stepped
+        cycle, or a quiet span the processor skipped, in which nothing
+        commits and the same stalls are charged every cycle."""
         if self.cpi is not None:
-            self.cpi.on_cycle_end(processor)
-        self.sampler.on_cycle_end(processor)
+            self.cpi.on_cycles_end(processor, start, stop)
+        self.sampler.on_cycles_end(processor, start, stop)
 
     # -- event hooks (called by the processor) ----------------------------
 

@@ -7,9 +7,9 @@ for a reason.  This module charges every idle slot to one cause, so the
 buckets always sum to ``cycles x commit_width`` exactly — the defining
 invariant of a CPI stack, and the property the tier-1 tests assert.
 
-Attribution runs once per cycle, after commit, from the end-of-cycle
-hook.  All idle slots of a cycle share one cause, picked by the first
-matching rule:
+Attribution runs after each stepped cycle, from the end-of-cycle hook,
+and once for each quiet span the processor skips.  All idle slots of a
+cycle share one cause, picked by the first matching rule:
 
 1. ROB empty inside a squash-recovery window -> ``squash_recovery``
    (the refetch penalty of a memory-order violation);
@@ -25,6 +25,9 @@ matching rule:
 Rules 3-5 read per-cycle *deltas* of the existing ``SimStats`` counters
 rather than re-deriving pipeline state, so attribution never perturbs
 the simulation (bit-identical ``SimStats`` with the observer attached).
+A quiet span commits nothing and charges the same stalls every cycle,
+so its deltas classify each of its cycles alike; only rule 1's window
+can end inside it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Mapping, Tuple
 
 if TYPE_CHECKING:
+    from repro.pipeline.dyninst import DynInst
     from repro.pipeline.processor import Processor
 
 #: Attribution buckets, in report order.  ``commit`` is useful work.
@@ -66,28 +70,34 @@ class CpiStack:
         """A violation squash: refetch runs until ``until_cycle``."""
         self._recovery_until = max(self._recovery_until, until_cycle)
 
-    def on_cycle_end(self, processor: "Processor") -> None:
-        """Attribute this cycle's ``commit_width`` slots."""
+    def on_cycles_end(self, processor: "Processor", start: int,
+                      stop: int) -> None:
+        """Attribute the slots of cycles ``start`` .. ``stop``-1 (one
+        stepped cycle, or a quiet span)."""
         stats = processor.stats
         deltas = {}
         for name in _DELTA_FIELDS:
             value = int(getattr(stats, name))
             deltas[name] = value - self._last.get(name, 0)
             self._last[name] = value
-        self.cycles += 1
-        committed = min(deltas["committed"], self.commit_width)
+        width = self.commit_width
+        self.cycles += stop - start
+        committed = min(deltas["committed"], width)
         self.slots["commit"] += committed
-        idle = self.commit_width - committed
-        if idle:
-            self.slots[self._classify(processor, deltas)] += idle
-
-    def _classify(self, processor: "Processor",
-                  deltas: Mapping[str, int]) -> str:
+        idle = (stop - start) * width - committed
         head = processor.rob.head
         if head is None:
-            if processor.cycle < self._recovery_until:
-                return "squash_recovery"
-            return "fetch"
+            recovering = min(max(self._recovery_until - start, 0) * width,
+                             idle)
+            self.slots["squash_recovery"] += recovering
+            self.slots["fetch"] += idle - recovering
+        elif idle:
+            self.slots[self._classify(processor, head, deltas)] += idle
+
+    @staticmethod
+    def _classify(processor: "Processor", head: "DynInst",
+                  deltas: Mapping[str, int]) -> str:
+        """Rules 3-7: the cause of idle slots behind ``head``."""
         if head.complete:
             # Head retired mid-cycle and a younger incomplete head took
             # its place, or commit stopped on a store's structural

@@ -26,7 +26,6 @@ EVENT_KINDS: Tuple[str, ...] = (
     "forward",           # SQ search matched: store->load forwarding
     "violation_squash",  # memory-order violation; arg = extra penalty
     "segment_hop",       # pipelined search crossed segments; arg = count
-    "port_retry",        # structural port hazard; note = which pool
     "predictor_update",  # store-set/pair table training or clear
     "cache_miss",        # cache lookup missed; note = cache name
     "lb_insert",         # out-of-order load parked in the load buffer

@@ -89,11 +89,18 @@ class IntervalSampler:
 
     # -- collection -------------------------------------------------------
 
-    def on_cycle_end(self, processor: "Processor") -> None:
-        """Called once per simulated cycle; samples every Nth."""
-        self._cycles_seen += 1
-        if self._cycles_seen % self.interval:
-            return
+    def on_cycles_end(self, processor: "Processor", start: int,
+                      stop: int) -> None:
+        """Called after cycles ``start`` .. ``stop``-1 (one stepped
+        cycle, or a quiet span, in which nothing a row reads changes);
+        samples every Nth cycle."""
+        seen = self._cycles_seen
+        self._cycles_seen = seen + stop - start
+        for cycle in range(start + (-seen - 1) % self.interval, stop,
+                           self.interval):
+            self._sample(processor, cycle)
+
+    def _sample(self, processor: "Processor", cycle: int) -> None:
         stats = processor.stats
         deltas = {}
         for name in _DELTA_FIELDS:
@@ -109,7 +116,7 @@ class IntervalSampler:
         if len(self._rows) == self.capacity:
             self.dropped += 1
         self._rows.append(Sample(
-            cycle=processor.cycle,
+            cycle=cycle,
             committed=committed,
             ipc=committed / self.interval,
             rob_occ=len(processor.rob),

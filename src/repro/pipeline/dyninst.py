@@ -43,8 +43,8 @@ class DynInst:
         "dispatch_cycle", "issue_cycle", "complete_cycle", "exit_cycle",
         "forwarded_from", "forwarded_from_pc", "ooo_issued",
         "load_buffer_slot", "wait_store_seq", "predicted_dependent",
-        "searched_sq", "lsq_segment", "lsq_virtual", "ssid",
-        "mispredicted", "mem_executed", "older_store", "next_load",
+        "lsq_segment", "lsq_virtual", "ssid", "mem_executed",
+        "older_store", "next_load",
     )
 
     def __init__(self, seq: int, trace_index: int, inst: Instruction) -> None:
@@ -73,12 +73,10 @@ class DynInst:
         self.load_buffer_slot = -1
         self.wait_store_seq: Optional[int] = None  # store-set synchronisation
         self.predicted_dependent = False
-        self.searched_sq = False
         self.lsq_segment = -1            # segment holding this entry
                                          # (-1 while not in a queue)
         self.lsq_virtual = -1            # ring position (no-self-circular)
         self.ssid: Optional[int] = None  # store-set id at dispatch
-        self.mispredicted = False
         self.mem_executed = False        # address resolved at the LSQ
         # First-slot links of an unexecuted load (separate LQ/SQ port
         # pools): its youngest older store and its LQ successor.

@@ -38,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional
 
-from repro.config import LoadQueueSearchMode, MachineConfig
+from repro.config import MachineConfig
 from repro.core.hotpath import hotpath
 from repro.core.lsq import LoadStoreQueue, Retry, Violation
 from repro.memory.hierarchy import MemoryHierarchy
@@ -321,13 +321,8 @@ class Processor:
             # After warming, so warm-up traffic stays out of the events.
             self.obs.attach(self)
         watchdog = self.machine.core.watchdog_cycles
-        # An observer's sampler and CPI stack read per-cycle deltas, and
-        # INVALIDATION mode accrues coherence traffic every cycle: both
-        # step each cycle.
-        skip = (self.obs is None and self.machine.lsq.lq_search
-                is not LoadQueueSearchMode.INVALIDATION)
         while not self._finished():
-            if not (skip and self._skip_quiet(max_cycles, watchdog)):
+            if not self._skip_quiet(max_cycles, watchdog):
                 self.step()
             if max_cycles is not None and self.cycle >= max_cycles:
                 break
@@ -372,13 +367,14 @@ class Processor:
         is due, nothing is ready to issue, fetch and dispatch are
         stalled, and every due memory-stage entry is blocked.  Nothing
         then changes until the horizon: the next completion, the next
-        memory-stage retry, the end of a fetch stall, ``max_cycles`` or
-        the watchdog limit.  Each skipped cycle is charged what a
-        stepped one would be: the dispatch stall of the fetch-buffer
-        head, one store-set wait or load-buffer-full stall per blocked
-        due load, the LSQ occupancy integrals and the checker's scans.
-        A parked load or store retries every cycle, so no cycle is
-        quiet while one waits.
+        memory-stage retry, the end of a fetch stall, the arrival of an
+        invalidation, ``max_cycles`` or the watchdog limit.  Each
+        skipped cycle is charged what a stepped one would be: the
+        dispatch stall of the fetch-buffer head, one store-set wait or
+        load-buffer-full stall per blocked due load, the LSQ occupancy
+        integrals and invalidation traffic, the checker's scans and the
+        observer's CPI slots and samples.  A parked load or store
+        retries every cycle, so no cycle is quiet while one waits.
         """
         cycle = self.cycle
         if (cycle in self._events or self.iq.has_ready()
@@ -424,6 +420,7 @@ class Processor:
             horizon = min(horizon, min(self._events))
         if can_fetch and cycle < fetch_stall < horizon:
             horizon = fetch_stall
+        horizon = lsq.skip_invalidations(cycle, horizon)
         span = horizon - cycle
         if span <= 0:
             return False
@@ -441,6 +438,8 @@ class Processor:
         lsq.sample(span)
         if self.checker is not None:
             self.checker.skip_cycles(cycle, horizon)
+        if self.obs is not None:
+            self.obs.skip_cycles(self, cycle, horizon)
         self.cycle = horizon
         return True
 
@@ -670,12 +669,8 @@ class Processor:
         It was charged for this cycle.  Until its key changes (a store
         commit, LoadStoreQueue.commit_releases(), or a squash), each
         walk visits it only while its code's verdict is None and
-        otherwise charges it that verdict's counter.  An observer
-        records each attempt's events, so with one attached nothing is
-        parked.
+        otherwise charges it that verdict's counter.
         """
-        if self.obs is not None:
-            return False
         self._parked.add(self._mem_stage.pop(index), wait, self.cycle)
         return True
 
@@ -821,7 +816,6 @@ class Processor:
                 correct = self.branch_predictor.predict_and_update(
                     raw.pc, raw.taken)
                 if not correct:
-                    dyn.mispredicted = True
                     self.stats.branch_mispredicts += 1
                     self._redirect_branch = dyn
                     return

@@ -20,6 +20,9 @@ from repro.pipeline.debug import draw
 #: Instruction rows and cycle columns of a bundle's pipetrace.
 PIPETRACE_ROWS = 64
 PIPETRACE_CYCLES = 100
+#: How far back a pipetrace may widen to the failing instruction's
+#: dispatch (cycles before the failure).
+PIPETRACE_REACH = 4 * PIPETRACE_CYCLES
 
 
 @dataclass
@@ -157,7 +160,9 @@ def _trace_window(trace, center: int, radius: int = 8) -> str:
 
 def _pipetrace(processor, seq: int) -> str:
     """The PIPETRACE_ROWS instructions around ``seq`` (the ROB head when
-    negative) over the PIPETRACE_CYCLES cycles up to now.
+    negative) over the PIPETRACE_CYCLES cycles up to now, reaching back
+    to the dispatch of ``seq`` when that lies within PIPETRACE_REACH
+    cycles of now.
 
     Rows come from the in-flight ROB and, when a checker is attached,
     the instructions it saw commit last; squashed instructions are gone
@@ -178,6 +183,10 @@ def _pipetrace(processor, seq: int) -> str:
     end = processor.cycle
     # Rows are in dispatch order, and dispatch is each one's first stage.
     start = max(rows[0].dispatch_cycle, end - PIPETRACE_CYCLES + 1)
+    if center < len(insts) and insts[center].seq == seq:
+        dispatch = insts[center].dispatch_cycle
+        if end - dispatch < PIPETRACE_REACH:
+            start = min(start, dispatch)
     return draw(rows, start, end)
 
 

@@ -29,11 +29,13 @@ raises :class:`~repro.validate.bundle.ValidationError` (or
 :class:`~repro.validate.bundle.DiagnosticBundle`; with
 ``raise_on_error=False`` failures accumulate in ``checker.failures``
 for post-run inspection (the mode the fault-injection harness uses).
+Either way the bundle is taken when the first failure is recorded.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.config import LoadQueueSearchMode
@@ -92,6 +94,8 @@ class ValidationChecker:
         self._seen: Set[Tuple[str, int]] = set()
         #: The last RECENT_COMMITS committed instructions, oldest first.
         self.recent_commits: Deque["DynInst"] = deque(maxlen=RECENT_COMMITS)
+        #: The bundle taken at the first failure.
+        self._first_bundle: Optional[DiagnosticBundle] = None
 
     # ------------------------------------------------------------------
     # wiring
@@ -108,6 +112,7 @@ class ValidationChecker:
         self._commit_index = 0
         self._last_seq = -1
         self.recent_commits.clear()
+        self._first_bundle = None
         self.checked_loads = 0
         self.checked_cycles = 0
         self.load_verdicts = {}
@@ -131,25 +136,25 @@ class ValidationChecker:
             expected=expected, observed=observed, message=message)
         if len(self.failures) < MAX_RECORDED_FAILURES:
             self.failures.append(failure)
+        if self._first_bundle is None:
+            self._first_bundle = build_bundle(self.processor, seq=seq,
+                                              trace_index=trace_index,
+                                              failures=[failure])
         if self.raise_on_error:
-            bundle = build_bundle(self.processor, seq=seq,
-                                  trace_index=trace_index,
-                                  failures=[failure])
             error = InvariantViolation if invariant else ValidationError
-            raise error(failure.format(), failure=failure, bundle=bundle)
+            raise error(failure.format(), failure=failure,
+                        bundle=self._first_bundle)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def bundle(self) -> DiagnosticBundle:
-        """Diagnostic bundle for the current processor state."""
-        first = self.failures[0] if self.failures else None
-        return build_bundle(
-            self.processor,
-            seq=first.seq if first else -1,
-            trace_index=first.trace_index if first else -1,
-            failures=self.failures)
+        """The bundle taken at the first failure, listing every failure;
+        with none, one of the current processor state."""
+        if self._first_bundle is None:
+            return build_bundle(self.processor)
+        return replace(self._first_bundle, failures=list(self.failures))
 
     def report(self) -> str:
         status = "ok" if self.ok else f"{len(self.failures)} failure(s)"

@@ -8,6 +8,9 @@ import pathlib
 import pytest
 
 from repro.config import LsqConfig, MachineConfig, base_machine
+from repro.obs import ObsConfig, Observer
+from repro.pipeline.processor import Processor
+from repro.stats.counters import stats_digest
 from repro.workload.isa import Instruction, OpClass
 from repro.workload.trace import Trace
 
@@ -65,6 +68,31 @@ def branch(pc=0x4000, taken=True, target=0x1000, srcs=()):
 
 def make_trace(instructions, name="test"):
     return Trace(instructions, name=name)
+
+
+def observed_run(trace, machine, sample_interval=16):
+    """Run ``trace`` with an Observer attached.  Returns everything it
+    reports (``SimStats`` digest, CPI slots, sampler rows, stored
+    events, per-kind event counts), then the cycles stepped, the
+    cycles simulated and the loads the memory stage attempted."""
+    observer = Observer(ObsConfig(sample_interval=sample_interval))
+    processor = Processor(machine, obs=observer)
+    calls = {"step": 0, "load": 0}
+
+    def counted(method, kind):
+        def call(*args):
+            calls[kind] += 1
+            return method(*args)
+        return call
+
+    processor.step = counted(processor.step, "step")
+    lsq = processor.lsq
+    lsq.try_execute_load = counted(lsq.try_execute_load, "load")
+    stats = processor.run(trace).stats
+    summary = observer.summary()
+    reported = (stats_digest(stats), summary.cpi_slots, summary.samples,
+                observer.bus.events(), summary.event_counts)
+    return reported, calls["step"], stats.cycles, calls["load"]
 
 
 def filler(n, base_pc=0x8000):

@@ -98,6 +98,9 @@ def test_exit_codes_are_distinct_and_stable():
     (["trace", "gzip", "-n", "0"], "must be at least 1"),
     (["gentrace", "gzip", "-n", "-3"], "must be at least 1"),
     (["figure", "fig8", "-n", "-1", "--no-cache"], "must be at least 1"),
+    (["trace", "--smoke", "--sample-interval", "0"], "must be at least 1"),
+    (["trace", "--smoke", "--event-limit", "-1"], "must be at least 0"),
+    (["trace", "--smoke", "--pipetrace", "-1"], "must be at least 0"),
 ])
 def test_usage_errors_exit_2_with_stderr(argv, fragment, capsys, tmp_path):
     files = {"truncated": tmp_path / "cut.lsqtrace",

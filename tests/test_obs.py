@@ -120,34 +120,6 @@ class TestEvents:
         assert len(capped.bus) == 16 and capped.bus.dropped > 0
         assert capped.bus.counts == uncapped.bus.counts
 
-    @pytest.mark.parametrize("name", ["conventional", "segmented", "full"])
-    def test_port_retry_notes_tally_port_stall_counters(self, name):
-        """Each port bounce emits one ``port_retry`` event whose note
-        names the counter it charged, including the bounces port
-        admission decides before building a search path."""
-        bounced = 0
-        for benchmark in ("mgrid", "gcc", "equake"):
-            observer = Observer()
-            stats = simulate(generate_trace(benchmark, n_instructions=1500),
-                             PRESET_MACHINES[name], obs=observer).stats
-            assert observer.bus.dropped == 0
-            notes: dict = {}
-            for event in observer.bus.events_of("port_retry"):
-                notes[event.note] = notes.get(event.note, 0) + 1
-            assert set(notes) <= {"sq", "lq", "dcache", "dcache-commit",
-                                  "lq-commit", "sq-contention",
-                                  "lq-contention"}
-            assert notes.get("sq", 0) == stats.sq_port_stalls
-            assert notes.get("lq", 0) == stats.lq_port_stalls
-            assert notes.get("dcache", 0) + notes.get("dcache-commit", 0) \
-                == stats.dcache_port_stalls
-            assert notes.get("lq-commit", 0) == stats.store_commit_delays
-            assert notes.get("sq-contention", 0) \
-                + notes.get("lq-contention", 0) \
-                == stats.contention_stalls + stats.contention_squashes
-            bounced += sum(notes.values())
-        assert bounced > 0
-
 
 class TestCpiStack:
     @pytest.mark.parametrize("name", sorted(PRESET_MACHINES))

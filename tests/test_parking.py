@@ -7,9 +7,10 @@ until its key changes; while it waits, each walk attempts it only while
 those slots are free and otherwise charges it what an attempt would
 have charged.  The reference here is the same engine with parking
 patched off, so every bounced operation is attempted every cycle.  Both
-must agree on every statistic, on the checker's scan count, on where
-``max_cycles`` and the watchdog stop a run, and on what every fault
-campaign finds; parking must also actually park.
+must agree on every statistic, on the checker's scan count, on
+everything an observer reports, on where ``max_cycles`` and the
+watchdog stop a run, and on what every fault campaign finds; parking
+must also actually park.
 """
 
 from dataclasses import replace
@@ -19,7 +20,6 @@ import pytest
 from repro import cli
 from repro.config import LsqConfig, base_machine
 from repro.core.lsq import LoadStoreQueue
-from repro.obs import Observer
 from repro.pipeline.processor import Processor, simulate
 from repro.stats.counters import stats_digest
 from repro.validate import (
@@ -29,6 +29,7 @@ from repro.validate import (
     run_all_fault_classes,
 )
 from repro.workload import generate_trace
+from tests.conftest import observed_run
 
 #: Port-starved segmented (mgrid, equake) cells, which park, and
 #: full-technique (equake, mgrid), quiet-heavy conventional (mcf) and
@@ -113,6 +114,25 @@ def test_parking_saves_most_attempts(bench, monkeypatch):
     assert parked[4] < polled[4]
 
 
+@pytest.mark.parametrize("bench,preset,ports", [
+    ("mgrid", "segmented", 2), ("mcf", "conventional", 2),
+    ("equake", "full", 1)])
+def test_observed_parking_matches_polling(bench, preset, ports,
+                                          monkeypatch):
+    """An observed run parks and skips like a plain one, and reports
+    what the polled run reports: statistics, CPI slots, sampler rows,
+    events."""
+    trace = generate_trace(bench, n_instructions=3000)
+    machine = _machine(preset, ports)
+    parked, polled = _both(monkeypatch,
+                           lambda: observed_run(trace, machine, 7))
+    assert parked[0] == polled[0]
+    __, steps, cycles, loads = parked
+    assert steps < cycles == polled[2]
+    if preset == "segmented":
+        assert loads < polled[3]
+
+
 def test_max_cycles_stops_at_the_same_cycle(cell, monkeypatch):
     trace, machine = cell
     cycles = simulate(trace, machine).stats.cycles
@@ -156,22 +176,6 @@ def test_fault_campaigns_find_the_same_failures(cell, monkeypatch):
     assert parked == polled
     assert any(faults for __, faults in parked.values()), \
         "no fault injected"
-
-
-def test_observer_sees_every_port_retry(monkeypatch):
-    """An observer records each attempt's ``port_retry`` event, in
-    order; its stream equals the polling run's."""
-    trace = generate_trace("mgrid", n_instructions=1500)
-    machine = _machine("segmented", 2)
-
-    def retries():
-        observer = Observer()
-        simulate(trace, machine, obs=observer)
-        return [(event.cycle, event.seq, event.note)
-                for event in observer.bus.events_of("port_retry")]
-
-    parked, polled = _both(monkeypatch, retries)
-    assert parked == polled and parked
 
 
 def test_checker_catches_a_missing_store_commit_wake(monkeypatch):

@@ -1,12 +1,13 @@
 """Quiet-cycle skipping in the reference engine.
 
 ``Processor.run`` jumps over cycles in which no stage can act and
-charges them through the counters a stepped quiet cycle bumps.  The
-reference here is the same engine with skipping patched off, so it
-steps every cycle.  Both must agree on every statistic, on the
-checker's scan count, on where ``max_cycles`` and the watchdog stop a
-run, and on what a fault campaign finds; skipping must also actually
-skip.
+charges them through the counters a stepped quiet cycle bumps, the
+invalidation traffic, the checker and the observer.  The reference
+here is the same engine with skipping patched off, so it steps every
+cycle.  Both must agree on every statistic, on the checker's scan
+count, on everything an observer reports, on where ``max_cycles`` and
+the watchdog stop a run, and on what a fault campaign finds; skipping
+must also actually skip.
 """
 
 from dataclasses import replace
@@ -14,7 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro import cli
-from repro.config import base_machine
+from repro.config import LoadQueueSearchMode, base_machine
 from repro.pipeline.processor import Processor, simulate
 from repro.stats.counters import stats_digest
 from repro.validate import (
@@ -24,15 +25,25 @@ from repro.validate import (
     run_fault_campaign,
 )
 from repro.workload import generate_trace
+from tests.conftest import observed_run
 
-#: Quiet-heavy (mcf), port-starved segmented (mgrid) and full-technique
-#: (equake) cells.
+#: Quiet-heavy (mcf), port-starved segmented (mgrid), full-technique
+#: (equake) and coherence-invalidation (bzip) cells.
 CELLS = [("mcf", "conventional", 2), ("mgrid", "segmented", 2),
-         ("equake", "full", 1)]
+         ("equake", "full", 1), ("bzip", "invalidation", 2)]
+
+#: Cells run with an observer attached.
+OBSERVED = CELLS[:3]
 
 
 def _machine(preset, ports):
-    return replace(base_machine(), lsq=cli.PRESETS[preset](ports=ports))
+    if preset == "invalidation":
+        lsq = replace(cli.PRESETS["conventional"](ports=ports),
+                      lq_search=LoadQueueSearchMode.INVALIDATION,
+                      invalidation_rate=0.01)
+    else:
+        lsq = cli.PRESETS[preset](ports=ports)
+    return replace(base_machine(), lsq=lsq)
 
 
 def _never_skip(self, max_cycles, watchdog):
@@ -80,6 +91,23 @@ def test_skipping_matches_stepping(cell, monkeypatch):
     assert (digest, cycles, checked) == stepped[:3]
     assert checked == cycles and stepped[3] == cycles
     assert steps < cycles
+
+
+@pytest.mark.parametrize("bench,preset,ports", OBSERVED,
+                         ids=["-".join(map(str, cell)) for cell in OBSERVED])
+@pytest.mark.parametrize("interval", [16, 7])
+def test_observed_skipping_matches_stepping(bench, preset, ports, interval,
+                                            monkeypatch):
+    """An observer sees a skipped quiet span as the stepped cycles it
+    stands for: equal CPI slots, sampler rows (``interval`` does not
+    align with the spans), events and statistics."""
+    trace = generate_trace(bench, n_instructions=3000)
+    machine = _machine(preset, ports)
+    skipped, stepped = _both(
+        monkeypatch, lambda: observed_run(trace, machine, interval))
+    assert skipped[0] == stepped[0]
+    __, steps, cycles, __ = skipped
+    assert steps < cycles == stepped[1]
 
 
 def test_max_cycles_stops_at_the_same_cycle(cell, monkeypatch):
