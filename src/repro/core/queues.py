@@ -41,7 +41,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Deque, Dict, Iterable, Iterator, List,
+                    Optional, Tuple)
 
 from repro.config import AllocationPolicy
 from repro.core.hotpath import hotpath
@@ -115,6 +116,10 @@ class SegmentedQueue:
     def entries(self) -> Iterable[DynInst]:
         """In-flight entries in program order (zero-copy view)."""
         return iter(self._order)
+
+    def __reversed__(self) -> Iterator[DynInst]:
+        """In-flight entries, youngest first (zero-copy view)."""
+        return reversed(self._order)
 
     @property
     def oldest(self) -> Optional[DynInst]:

@@ -23,6 +23,9 @@ class ReorderBuffer:
     def __iter__(self) -> Iterator[DynInst]:
         return iter(self._entries)
 
+    def __reversed__(self) -> Iterator[DynInst]:
+        return reversed(self._entries)
+
     @property
     def full(self) -> bool:
         return len(self._entries) >= self.capacity

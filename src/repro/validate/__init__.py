@@ -6,8 +6,9 @@ those from beliefs into checked properties:
 
 * :class:`~repro.validate.oracle.MemoryOracle` — golden sequential
   replay giving the architecturally-correct source of every load;
-* :mod:`repro.validate.invariants` — per-cycle structural invariants
-  (ROB/LSQ mirroring, load-buffer/NILP consistency, port booking);
+* :mod:`repro.validate.invariants` — structural invariants (ROB/LSQ
+  mirroring, load-buffer/NILP consistency, port booking), checked at
+  the events that can break them, with a full scan as backstop;
 * :class:`~repro.validate.checker.ValidationChecker` — attaches to a
   :class:`~repro.pipeline.processor.Processor` (``simulate(...,
   validate=True)``) and raises :class:`ValidationError` with a

@@ -15,9 +15,17 @@ two levels:
    the machine raises a violation whenever an older load executes
    after a younger overlapping load already obtained its value.
 
-2. **Cycle-level invariants** — after each
-   simulated cycle the structural invariants of
-   :mod:`repro.validate.invariants` must hold.
+2. **Structural invariants** — the invariants of
+   :mod:`repro.validate.invariants` must hold.  At the end of every
+   stepped cycle each is checked on the entries that cycle's
+   dispatches, commits and load executions touched, and on the memory
+   stage (:func:`~repro.validate.invariants.cycle_findings`).  The full
+   :func:`~repro.validate.invariants.scan` runs as a backstop after
+   every squash, every :data:`SCAN_INTERVAL` stepped cycles and
+   whenever the ROB drains (the last cycle of a run among them).
+   Corruption at one of those events fails in its own cycle;
+   corruption anywhere else within :data:`SCAN_INTERVAL` stepped
+   cycles.
 
 The checker also keeps the last :data:`RECENT_COMMITS` instructions to
 commit, so a diagnostic bundle can draw the pipetrace leading up to a
@@ -71,6 +79,9 @@ MAX_RECORDED_FAILURES = 512
 #: Committed instructions kept for diagnostic pipetraces.
 RECENT_COMMITS = 64
 
+#: Stepped cycles between backstop scans.
+SCAN_INTERVAL = 64
+
 
 class ValidationChecker:
     """Oracle + invariant cross-checking for one simulation run."""
@@ -96,6 +107,10 @@ class ValidationChecker:
         self.recent_commits: Deque["DynInst"] = deque(maxlen=RECENT_COMMITS)
         #: The bundle taken at the first failure.
         self._first_bundle: Optional[DiagnosticBundle] = None
+        self._until_scan = SCAN_INTERVAL   # stepped cycles to the backstop
+        self._squashed = False             # a squash since the last scan
+        self._tally: Tuple[int, ...] = ()  # invariants.tally() last cycle
+        self._executed: List["DynInst"] = []  # loads executed this cycle
 
     # ------------------------------------------------------------------
     # wiring
@@ -113,6 +128,10 @@ class ValidationChecker:
         self._last_seq = -1
         self.recent_commits.clear()
         self._first_bundle = None
+        self._until_scan = SCAN_INTERVAL
+        self._squashed = False
+        self._tally = invariants.tally(processor)
+        self._executed = []
         self.checked_loads = 0
         self.checked_cycles = 0
         self.load_verdicts = {}
@@ -166,6 +185,11 @@ class ValidationChecker:
     # processor hooks
     # ------------------------------------------------------------------
 
+    def _report(self, findings: List[invariants.Finding]) -> None:
+        for finding in findings:
+            self._fail("invariant:" + finding.name, finding.seq,
+                       finding.trace_index, finding.message, invariant=True)
+
     def on_dispatch(self, inst) -> None:
         if inst.is_store:
             self._store_trace[inst.seq] = inst.trace_index
@@ -183,6 +207,7 @@ class ValidationChecker:
         else:
             self._observed[load.seq] = self._memory.version(load.inst)
         self._check_load_load(load, violation)
+        self._executed.append(load)
 
     def _check_load_load(self, load, violation) -> None:
         """An older load executing after a younger overlapping load
@@ -191,18 +216,20 @@ class ValidationChecker:
         lsq = self.processor.lsq
         if lsq.config.lq_search not in _ORDERING_ENFORCED:
             return
-        for other in lsq.lq.entries():
+        match = None      # the oldest younger match decides
+        for other in reversed(lsq.lq):
             if other.seq <= load.seq:
-                continue
+                break
             if (other.is_load and other.mem_executed and not other.squashed
-                    and other is not load and other.overlaps(load)):
-                if violation is None or violation.squash_seq > other.seq:
-                    self._fail(
-                        "missed-load-load", other.seq, other.trace_index,
-                        f"load seq {other.seq} obtained its value before "
-                        f"older overlapping load seq {load.seq} executed, "
-                        f"and no load-load violation was raised")
-                return  # oldest younger match decides
+                    and other.overlaps(load)):
+                match = other
+        if match is not None and (violation is None
+                                  or violation.squash_seq > match.seq):
+            self._fail(
+                "missed-load-load", match.seq, match.trace_index,
+                f"load seq {match.seq} obtained its value before "
+                f"older overlapping load seq {load.seq} executed, "
+                f"and no load-load violation was raised")
 
     def on_commit(self, inst) -> None:
         self.recent_commits.append(inst)
@@ -251,22 +278,35 @@ class ValidationChecker:
         self._observed = {s: v for s, v in self._observed.items() if s < seq}
         self._store_trace = {s: v for s, v in self._store_trace.items()
                              if s < seq}
+        self._squashed = True
 
     def end_cycle(self) -> None:
+        """Check what this stepped cycle can have broken, or run the
+        backstop scan when one is due."""
         self.checked_cycles += 1
-        for finding in invariants.scan(self.processor,
-                                       min_seq=self._last_seq):
-            self._fail("invariant:" + finding.name, finding.seq, -1,
-                       finding.message, invariant=True)
+        processor = self.processor
+        self._until_scan -= 1
+        tally = invariants.tally(processor)
+        if self._until_scan <= 0 or self._squashed or processor.rob.empty:
+            self._until_scan = SCAN_INTERVAL
+            self._squashed = False
+            findings = invariants.scan(processor, min_seq=self._last_seq)
+        else:
+            findings = invariants.cycle_findings(
+                processor, self._last_seq, self._tally, tally,
+                self._executed)
+        self._tally = tally
+        self._executed = []
+        self._report(findings)
 
     def skip_cycles(self, start: int, stop: int) -> None:
         """Account for the quiet cycles ``start .. stop-1`` the
         processor skipped instead of stepping.
 
-        No stage acts in a quiet cycle, so nothing :func:`invariants.scan`
-        reads changes: a scan there finds what the scan after the last
-        stepped cycle found, and failures de-duplicate by ``(kind, seq)``.
-        The skipped cycles therefore count in ``checked_cycles`` without
-        being scanned.
+        No stage acts in a quiet cycle, so nothing the invariants read
+        changes: a check there finds what the checks of the last stepped
+        cycle found, and failures de-duplicate by ``(kind, seq)``.  The
+        skipped cycles therefore count in ``checked_cycles`` without
+        being checked, and not toward the next backstop scan.
         """
         self.checked_cycles += stop - start

@@ -25,7 +25,16 @@ source, so the oracle reports ``max`` over the load's bytes.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Optional
+
+from repro.workload.isa import OP_FLAGS
+
+
+def _youngest(writers: Dict[int, int], inst) -> int:
+    """Youngest writer of any of ``inst``'s bytes (-1 for none)."""
+    return max(map(writers.get, range(inst.addr, inst.addr + inst.size),
+                   repeat(-1)), default=-1)
 
 
 class MemoryOracle:
@@ -37,14 +46,12 @@ class MemoryOracle:
         self._correct: Dict[int, Optional[int]] = {}
         last_writer: Dict[int, int] = {}   # byte address -> store index
         for index, inst in enumerate(trace):
-            if inst.is_store:
-                for byte in range(inst.addr, inst.addr + inst.size):
-                    last_writer[byte] = index
-            elif inst.is_load:
-                source = max(
-                    (last_writer.get(byte, -1)
-                     for byte in range(inst.addr, inst.addr + inst.size)),
-                    default=-1)
+            is_load, is_store = OP_FLAGS[inst.op][:2]
+            if is_store:
+                last_writer.update(dict.fromkeys(
+                    range(inst.addr, inst.addr + inst.size), index))
+            elif is_load:
+                source = _youngest(last_writer, inst)
                 self._correct[index] = source if source >= 0 else None
 
     def correct_source(self, trace_index: int) -> Optional[int]:
@@ -74,13 +81,10 @@ class CommittedMemory:
         self._version: Dict[int, int] = {}
 
     def write(self, inst, trace_index: int) -> None:
-        for byte in range(inst.addr, inst.addr + inst.size):
-            self._version[byte] = trace_index
+        self._version.update(dict.fromkeys(
+            range(inst.addr, inst.addr + inst.size), trace_index))
 
     def version(self, inst) -> Optional[int]:
         """Youngest committed store overlapping ``inst`` (None = none)."""
-        source = max(
-            (self._version.get(byte, -1)
-             for byte in range(inst.addr, inst.addr + inst.size)),
-            default=-1)
+        source = _youngest(self._version, inst)
         return source if source >= 0 else None

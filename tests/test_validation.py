@@ -4,11 +4,14 @@
   hand-built traces (byte-granular, last-writer-wins).
 * Clean runs validate cleanly: a hypothesis sweep over random
   benchmarks, LSQ presets, seeds and machine geometries (width, ROB,
-  search ports, load-buffer entries) runs under the full checker
-  without a single failure.
+  issue queue, predictor counter bits, search ports, load-buffer
+  entries, segments) runs under the full checker without a single
+  failure.
 * Rigged corruptions are caught: deterministic fault injectors make the
   raising checker throw ``ValidationError`` / ``InvariantViolation``
-  with a populated diagnostic bundle.
+  with a populated diagnostic bundle, and one corruption of each
+  invariant family in a running machine fails in its own cycle, or
+  within the backstop scan's interval when no watched event made it.
 * Fault campaigns never end silent: every registered fault class is
   recovered, detected, or provably benign on every preset it applies
   to.
@@ -28,8 +31,12 @@ from hypothesis import given, settings, strategies as st
 from repro import cli
 from repro.config import (AllocationPolicy, ContentionPolicy, CoreConfig,
                           base_machine)
+from repro.core.load_buffer import LoadBuffer, NilpTracker
+from repro.core.lsq import LoadStoreQueue
+from repro.core.queues import SegmentedQueue
 from repro.pipeline.dyninst import DynInst
 from repro.pipeline.processor import Processor, simulate
+from repro.pipeline.rob import ReorderBuffer
 from repro.stats.counters import stats_digest
 from repro.validate import (
     FAULT_CLASSES,
@@ -45,6 +52,7 @@ from repro.validate import (
     run_fault_campaign,
     scan,
 )
+from repro.validate.checker import SCAN_INTERVAL
 from repro.workload import ALL_BENCHMARKS, generate_trace
 from repro.workload.isa import Instruction, OpClass
 from repro.workload.trace import Trace
@@ -144,6 +152,8 @@ def _never_park(self, index, wait):
        load_buffer=st.sampled_from([None, 1, 2, 4]),
        width=st.sampled_from([2, 4, 8]),
        rob=st.sampled_from([48, 96, 256]),
+       issue_queue=st.integers(8, 96),
+       counter_bits=st.integers(1, 8),
        segments=st.integers(1, 4),
        segment_entries=st.integers(4, 28),
        allocation=st.sampled_from(sorted(AllocationPolicy,
@@ -154,18 +164,22 @@ def _never_park(self, index, wait):
        n=st.integers(150, 450),
        seed=st.integers(0, 10_000))
 def test_random_runs_pass_full_validation(bench, preset, ports, load_buffer,
-                                          width, rob, segments,
+                                          width, rob, issue_queue,
+                                          counter_bits, segments,
                                           segment_entries, allocation,
                                           contention, unified, n, seed):
-    """Narrow machines, tiny ROBs, odd load-buffer sizes and segment
-    geometries, outside the golden grid: structural corner cases are
-    where ordering bugs hide, so every draw answers to the oracle and
-    the invariants, once with blocked loads parked and once with every
-    blocked load attempted each cycle (``Processor._park`` patched
-    off); both runs must agree."""
+    """Narrow machines, tiny ROBs and issue queues, saturating
+    predictor counters, odd load-buffer sizes and segment geometries,
+    outside the golden grid: structural corner cases are where ordering
+    bugs hide, so every draw answers to the oracle and the invariants,
+    once with blocked loads parked and once with every blocked load
+    attempted each cycle (``Processor._park`` patched off); both runs
+    must agree."""
     machine = preset_machine(preset, ports).with_core(
         fetch_width=width, issue_width=width, commit_width=width,
-        rob_entries=rob)
+        rob_entries=rob, issue_queue_entries=issue_queue)
+    machine = replace(machine, store_sets=replace(
+        machine.store_sets, counter_bits=counter_bits))
     if load_buffer is not None and machine.lsq.load_buffer_entries:
         machine = machine.with_lsq(load_buffer_entries=load_buffer)
     machine = machine.with_lsq(
@@ -257,15 +271,149 @@ def test_non_raising_bundle_draws_the_first_failure():
 
 def test_suppressed_load_buffer_raises_invariant_violation():
     """Dropping load-buffer insertions breaks the NILP/LIV contract;
-    the cycle-level invariant scan must catch it the cycle it happens."""
+    the invariant checks must catch it the cycle it happens, naming the
+    load's trace index and centring the bundle's trace window on it."""
     trace = generate_trace("gcc", n_instructions=2000, seed=0)
     checker = ValidationChecker()
     processor = Processor(preset_machine("techniques"), checker=checker)
-    SuppressLoadBufferFault(seed=0, rate=1.0).install(processor)
+    fault = SuppressLoadBufferFault(seed=0, rate=1.0)
+    fault.install(processor)
     with pytest.raises(InvariantViolation) as excinfo:
         processor.run(trace)
-    assert excinfo.value.failure.kind.startswith("invariant:")
+    failure = excinfo.value.failure
+    assert failure.kind.startswith("invariant:")
     assert excinfo.value.bundle is not None
+    load = next(f for f in fault.injected if f.seq == failure.seq)
+    assert failure.cycle == load.cycle
+    assert failure.trace_index == load.trace_index
+    marked = [line for line in excinfo.value.bundle.trace_window.splitlines()
+              if line.startswith(">>")]
+    assert marked[0].split()[1] == f"[{load.trace_index}]"
+
+
+# ---------------------------------------------------------------------------
+# each invariant family, corrupted once in a running machine
+# ---------------------------------------------------------------------------
+
+#: The cycle from which each corruption below strikes, once: mid-run.
+_CORRUPT_FROM = 100
+
+
+def _swap_into_tail(rob, original, inst):
+    """Dispatch a non-memory instruction before the ROB's tail."""
+    if inst.is_memory or rob.empty:
+        return False
+    original(rob, inst)
+    entries = rob._entries
+    entries[-1], entries[-2] = entries[-2], entries[-1]
+    return True
+
+
+def _keep_committed_load(lsq, original, load):
+    """Commit a load from the ROB but leave it in the LQ."""
+    return True
+
+
+def _mistag(queue, original, inst):
+    """Allocate an entry but tag it with the next segment."""
+    original(queue, inst)
+    inst.lsq_segment = (inst.lsq_segment + 1) % queue.num_segments
+    return True
+
+
+def _keep_released_slot(buffer, original, load):
+    """Release a passed load's back-pointer but not its slot."""
+    if load.load_buffer_slot < 0:
+        return False
+    load.load_buffer_slot = -1
+    return True
+
+
+def _skip_ooo_count(nilp, original, load):
+    """Mark a load issued out of order without counting it."""
+    load.ooo_issued = True
+    return True
+
+
+def _park_and_walk(processor, original, index, wait):
+    """Park a load or store that bounced on a port but leave it in the
+    memory stage's walk too."""
+    entry = processor._mem_stage[index]
+    original(processor, index, wait)
+    processor._mem_stage.insert(index, entry)
+    return True
+
+
+def _overbook_a_port(lsq, original, cycle):
+    """Begin a cycle, and book a far-future LQ port slot past capacity
+    behind the calendar's back."""
+    original(lsq, cycle)
+    lsq.lq_ports._used[(0, cycle + 10 ** 6)] = lsq.lq_ports.ports + 1
+    return True
+
+
+#: family -> (preset, owner, method, corruption, caught at an event);
+#: an event's corruption fails in its own cycle, any other within
+#: SCAN_INTERVAL stepped cycles (the backstop scan).
+_LIVE_CORRUPTIONS = {
+    "rob-order": ("conventional", ReorderBuffer, "dispatch",
+                  _swap_into_tail, True),
+    "lsq-mirror": ("conventional", LoadStoreQueue, "commit_load",
+                   _keep_committed_load, True),
+    "queue-order": ("segmented", SegmentedQueue, "allocate", _mistag, True),
+    "load-buffer": ("techniques", LoadBuffer, "release",
+                    _keep_released_slot, True),
+    "nilp": ("conventional", NilpTracker, "mark_ooo_issue",
+             _skip_ooo_count, True),
+    "port-calendar": ("conventional", LoadStoreQueue, "begin_cycle",
+                      _overbook_a_port, False),
+    "mem-stage": ("segmented", Processor, "_park", _park_and_walk, True),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_LIVE_CORRUPTIONS))
+def test_checker_catches_live_corruption(family, monkeypatch):
+    """One corruption of each invariant family, made mid-run through
+    the code that mutates the structure, raises that family's
+    InvariantViolation: in the corrupting cycle when the checker
+    watches the event, else within SCAN_INTERVAL stepped cycles."""
+    preset, owner, name, corrupt, at_event = _LIVE_CORRUPTIONS[family]
+    trace = generate_trace("gcc", n_instructions=2000, seed=0)
+    processor = Processor(preset_machine(preset), checker=ValidationChecker())
+    corrupted = []
+
+    def due():
+        return not corrupted and processor.cycle >= _CORRUPT_FROM
+
+    original = getattr(owner, name)
+
+    def patched(self, *args):
+        if due() and corrupt(self, original, *args):
+            corrupted.append(processor.cycle)
+            return None
+        return original(self, *args)
+
+    monkeypatch.setattr(owner, name, patched)
+    stepped = []
+    step = Processor.step
+
+    def counted(self):
+        stepped.append(self.cycle)
+        step(self)
+
+    monkeypatch.setattr(Processor, "step", counted)
+    with pytest.raises(InvariantViolation) as excinfo:
+        processor.run(trace)
+    failure = excinfo.value.failure
+    assert failure.kind == f"invariant:{family}"
+    assert len(corrupted) == 1
+    if at_event:
+        assert failure.cycle == corrupted[0]
+    else:
+        assert failure.cycle >= corrupted[0]
+        assert sum(1 for cycle in stepped
+                   if corrupted[0] <= cycle <= failure.cycle) \
+            <= SCAN_INTERVAL
 
 
 # ---------------------------------------------------------------------------
